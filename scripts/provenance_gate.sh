@@ -2,7 +2,8 @@
 # Provenance gate (DESIGN.md §8, E19): the fixed-seed Perfetto export from
 # bench_e19_provenance must be byte-deterministic across two runs, and the
 # offline analyzer (scripts/trace_analyze.py) must compute the same summary
-# hash from both exports. Invoked by scripts/check.sh and the
+# hash from both exports — the hash checked in as
+# tests/golden/e19_summary_hash.txt. Invoked by scripts/check.sh and the
 # check-provenance cmake target. Reuses an existing build if one is
 # configured.
 set -euo pipefail
@@ -31,4 +32,9 @@ if [[ -z "${hash_a}" || "${hash_a}" != "${hash_b}" ]]; then
   echo "provenance_gate: summary hashes diverged: ${hash_a} vs ${hash_b}" >&2
   exit 1
 fi
-echo "provenance_gate: export deterministic (${hash_a})"
+golden=$(grep '^summary_hash=' tests/golden/e19_summary_hash.txt)
+if [[ "${hash_a}" != "${golden}" ]]; then
+  echo "provenance_gate: ${hash_a} differs from tests/golden/e19_summary_hash.txt (${golden})" >&2
+  exit 1
+fi
+echo "provenance_gate: export deterministic and matches the golden (${hash_a})"

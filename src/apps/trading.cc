@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "src/catocs/group.h"
+#include "src/obs/provenance.h"
 #include "src/statelevel/version.h"
 
 namespace apps {

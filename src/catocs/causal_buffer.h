@@ -16,12 +16,12 @@
 #define REPRO_SRC_CATOCS_CAUSAL_BUFFER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
+#include "src/catocs/hold_tap.h"
 #include "src/catocs/message.h"
+#include "src/catocs/retention_ring.h"
 #include "src/catocs/types.h"
 
 namespace catocs {
@@ -56,7 +56,7 @@ class CausalBufferStrategy {
   }
 
   // Adds a delivered (or sent) message to the retention buffer.
-  virtual void AddToBuffer(const GroupDataPtr& msg) = 0;
+  virtual void AddToBuffer(const GroupDataPtr& msg) { Retain(msg); }
 
   // Per-sender stability floor: min over members of their delivered count.
   virtual VectorClock StableVector() const = 0;
@@ -77,46 +77,45 @@ class CausalBufferStrategy {
   virtual void Prune() = 0;
 
   // Messages not yet known stable (what a flush contributes).
-  virtual std::vector<GroupDataPtr> UnstableMessages() const = 0;
+  std::vector<GroupDataPtr> UnstableMessages() const { return buffer_.CollectAll(); }
 
   // Looks up a buffered message; nullptr when absent (already pruned).
-  virtual GroupDataPtr Find(const MessageId& id) const = 0;
+  GroupDataPtr Find(const MessageId& id) const { return buffer_.Find(id); }
 
-  virtual size_t buffered_count() const = 0;
-  virtual size_t buffered_bytes() const = 0;
-  virtual size_t peak_buffered_count() const = 0;
-  virtual size_t peak_buffered_bytes() const = 0;
+  size_t buffered_count() const { return buffer_.count(); }
+  size_t buffered_bytes() const { return buffered_bytes_; }
+  size_t peak_buffered_count() const { return peak_count_; }
+  size_t peak_buffered_bytes() const { return peak_bytes_; }
 
-  // Observability hook: called for every buffered copy the strategy releases
-  // as stable (not for view-change resets), together with the strategy's
-  // name for the release mechanism ("prune" for the full-vector matrix walk,
-  // "floor"/"floor-sweep" for the hybrid buffer's eager paths) — surfaced as
-  // retention-gap provenance by the stability layer. Unset by default so the
-  // release paths stay branch-cheap; the stability layer installs one only
-  // when the group runs with observability on.
-  using ReleaseObserver = std::function<void(const GroupDataPtr&, const char* cause)>;
-  void SetReleaseObserver(ReleaseObserver observer) { release_observer_ = std::move(observer); }
-
-  // Bounded-resource accounting (DESIGN.md §10): when a budget is installed
-  // the strategy reports its retention occupancy after every add/release.
-  // Unset by default (one pointer test on those paths).
+  // Observability (DESIGN.md §6) and bounded resources (§10), both unset by
+  // default (one pointer test per add/release): every release is reported to
+  // the tap with its cause ("prune", "floor", "floor-sweep",
+  // "evicted-sender"), and occupancy to the budget after every add/release.
+  void SetHoldTap(HoldTap* tap) { tap_ = tap; }
   void SetBudget(ResourceBudget* budget) { budget_ = budget; }
 
  protected:
-  void NotifyRelease(const GroupDataPtr& msg, const char* cause) {
-    if (release_observer_) {
-      release_observer_(msg, cause);
-    }
-  }
-
-  void ChargeBudget(size_t bytes, size_t messages) {
-    if (budget_ != nullptr) {
-      budget_->Set(ResourceBudget::kRetention, bytes, messages);
-    }
-  }
+  // Every strategy keeps its copies here and decides only *when* they go;
+  // each call keeps the occupancy numbers, reports releases to the tap and
+  // recharges the budget. Retain is a no-op for a copy already held.
+  void Retain(const GroupDataPtr& msg);
+  // Releases every copy at or below `floor`, or `sender`'s up to `seq`.
+  void ReleaseUpTo(const VectorClock& floor, const char* cause);
+  void ReleaseUpTo(MemberId sender, uint64_t seq, const char* cause);
+  // Drops the overflow strays (retention_ring.h) of senders outside the
+  // sorted `members`, which are never acked under their old id again. A
+  // no-op on the protocol path, where retention is always contiguous.
+  void PurgeEvicted(const std::vector<MemberId>& members);
 
  private:
-  ReleaseObserver release_observer_;
+  void Released(const GroupDataPtr& msg, const char* cause);
+  void ChargeBudget();
+
+  RetentionRing buffer_;
+  size_t buffered_bytes_ = 0;
+  size_t peak_count_ = 0;
+  size_t peak_bytes_ = 0;
+  HoldTap* tap_ = nullptr;
   ResourceBudget* budget_ = nullptr;
 };
 

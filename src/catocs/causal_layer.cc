@@ -22,7 +22,7 @@ void CausalLayer::OnSend(GroupData& data) {
     // gate and the invariant oracles but is never charged on the wire.
     data.set_overlay_view(core_->view.id);
     data.set_vt(std::move(vt));
-    core_->RecordSpan(data.id(), sim::SpanEvent::kStamp, name());
+    core_->tap.Stamp(data.id(), name());
     return;
   }
   if (core_->config.delta_timestamps) {
@@ -42,7 +42,7 @@ void CausalLayer::OnSend(GroupData& data) {
     encoder_valid_ = true;
   }
   data.set_vt(std::move(vt));
-  core_->RecordSpan(data.id(), sim::SpanEvent::kStamp, name());
+  core_->tap.Stamp(data.id(), name());
 }
 
 bool CausalLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) {
@@ -190,10 +190,7 @@ void CausalLayer::Ingest(const GroupDataPtr& data, bool observe_acks, MemberId f
   // round trip entirely: no dedup-set insert/erase, no deque churn, no
   // post-delivery rescan (the queue is empty, so nothing can unblock).
   if (pending_.empty() && CausallyDeliverable(*data)) {
-    if (core_->observing()) {
-      core_->pipeline_stats.RecordEnter(HoldReason::kCausalGap);
-      core_->RecordSpan(data->id(), sim::SpanEvent::kEnter, name(), "");
-    }
+    core_->tap.Enter(HoldReason::kCausalGap, data->id(), /*blocked=*/false);
     CausalDeliver(data, core_->simulator->now(), from);
     return;
   }
@@ -201,11 +198,11 @@ void CausalLayer::Ingest(const GroupDataPtr& data, bool observe_acks, MemberId f
   if (!pending_ids_.insert(data->id()).second) {
     return;
   }
-  if (core_->observing()) {
-    core_->pipeline_stats.RecordEnter(HoldReason::kCausalGap);
-    core_->RecordSpan(data->id(), sim::SpanEvent::kEnter, name(),
-                      CausallyDeliverable(*data) ? "" : ToString(HoldReason::kCausalGap));
-  }
+  // Whether the gate is shut is asked of the uncounted full-clock check, so
+  // instrumentation never adds to delta_fast_path_hits.
+  core_->tap.Enter(HoldReason::kCausalGap, data->id(),
+                   core_->tap.on() &&
+                       !catocs::CausallyDeliverable(data->vt(), data->id().sender, vd_));
   pending_.push_back(PendingMessage{data, core_->simulator->now(), from});
   TryDeliverPending();
 }
@@ -259,16 +256,7 @@ void CausalLayer::CausalDeliver(const GroupDataPtr& data, sim::TimePoint arrived
     ++core_->stats.delayed_deliveries;
     core_->stats.total_causal_delay += causal_delay;
   }
-  if (core_->observing()) {
-    core_->pipeline_stats.RecordRelease(HoldReason::kCausalGap, causal_delay);
-    core_->RecordSpan(data->id(), sim::SpanEvent::kDeliver, name());
-    if (obs::ProvenanceRecorder* recorder = core_->provenance()) {
-      // Stage-1 arrival first, then the hold: a later message's causal wait
-      // that this delivery unblocks classifies against this arrival time.
-      recorder->RecordCausalDelivery(SpanKey(data->id()), core_->self, core_->simulator->now());
-    }
-    core_->RecordHoldProvenance(data->id(), name(), arrived_at);
-  }
+  core_->tap.Release(HoldReason::kCausalGap, data->id(), arrived_at);
 
   // Protocol order, preserved from the monolith: retain for atomic delivery,
   // note our own progress, give the total-order layer its sequencing shot,
@@ -307,12 +295,8 @@ void CausalLayer::DropFailedSenderBacklog(const ViewInstall& install) {
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (it->data->id().sender == sender && it->data->id().seq > cut) {
         ++core_->stats.messages_dropped_at_view_change;
-        if (core_->observing()) {
-          core_->pipeline_stats.RecordRelease(HoldReason::kCausalGap,
-                                              core_->simulator->now() - it->arrived_at);
-          core_->RecordSpan(it->data->id(), sim::SpanEvent::kDrop, name(),
-                            "failed-sender-backlog");
-        }
+        core_->tap.Drop(HoldReason::kCausalGap, it->data->id(), it->arrived_at,
+                        "failed-sender-backlog");
         pending_ids_.erase(it->data->id());
         it = pending_.erase(it);
       } else {

@@ -14,12 +14,8 @@ void FifoLayer::Enqueue(const GroupDataPtr& data, sim::Duration causal_delay) {
   // kTotalTurn arm requires IsNextToDeliver to be false, which AppDeliverable
   // just ruled out), so the observability record is identical.
   if (app_pending_.empty() && AppDeliverable(*data)) {
-    if (core_->observing()) {
-      core_->pipeline_stats.RecordEnter(HoldReason::kFifoGap);
-      core_->RecordSpan(data->id(), sim::SpanEvent::kEnter, name(), ToString(HoldReason::kFifoGap));
-      core_->pipeline_stats.RecordRelease(HoldReason::kFifoGap, sim::Duration::Zero());
-      core_->RecordSpan(data->id(), sim::SpanEvent::kDeliver, name());
-    }
+    core_->tap.Enter(HoldReason::kFifoGap, data->id());
+    core_->tap.Release(HoldReason::kFifoGap, data->id(), core_->simulator->now());
     ad_.RaiseTo(data->id().sender, data->id().seq);
     uint64_t total_seq = 0;
     if (data->mode() == OrderingMode::kTotal) {
@@ -29,17 +25,14 @@ void FifoLayer::Enqueue(const GroupDataPtr& data, sim::Duration causal_delay) {
     return;
   }
   AppPending entry{data, causal_delay, core_->simulator->now(), HoldReason::kFifoGap};
-  if (core_->observing()) {
-    // Attribute the coming wait to whichever condition blocks *now*: the
-    // app-level causal gate, or (for kTotal, once that gate clears) the
-    // message's global sequence turn.
-    if (DominatesIgnoring(ad_, data->vt(), data->id().sender) &&
-        data->mode() == OrderingMode::kTotal && !core_->total->IsNextToDeliver(data->id())) {
-      entry.gate = HoldReason::kTotalTurn;
-    }
-    core_->pipeline_stats.RecordEnter(entry.gate);
-    core_->RecordSpan(data->id(), sim::SpanEvent::kEnter, name(), ToString(entry.gate));
+  // Attribute the coming wait to whichever condition blocks *now*: the
+  // app-level causal gate, or (for kTotal, once that gate clears) the
+  // message's global sequence turn.
+  if (core_->tap.on() && DominatesIgnoring(ad_, data->vt(), data->id().sender) &&
+      data->mode() == OrderingMode::kTotal && !core_->total->IsNextToDeliver(data->id())) {
+    entry.gate = HoldReason::kTotalTurn;
   }
+  core_->tap.Enter(entry.gate, data->id());
   app_pending_.push_back(std::move(entry));
   TryDeliverApp();
 }
@@ -70,12 +63,7 @@ void FifoLayer::TryDeliverApp() {
       }
       AppPending entry = std::move(*it);
       app_pending_.erase(it);
-      if (core_->observing()) {
-        core_->pipeline_stats.RecordRelease(entry.gate,
-                                            core_->simulator->now() - entry.entered_at);
-        core_->RecordSpan(entry.data->id(), sim::SpanEvent::kDeliver, name());
-        core_->RecordHoldProvenance(entry.data->id(), name(), entry.entered_at);
-      }
+      core_->tap.Release(entry.gate, entry.data->id(), entry.entered_at);
       ad_.RaiseTo(sender, entry.data->id().seq);
       uint64_t total_seq = 0;
       if (entry.data->mode() == OrderingMode::kTotal) {
@@ -97,11 +85,8 @@ void FifoLayer::DeliverToApp(const GroupDataPtr& data, uint64_t total_seq,
   ++core_->stats.app_delivered;
   // App-level delivery is the provenance observation point: it is where the
   // fault rig's delivery records sit, so the hidden-channel oracle can
-  // cross-check the recorder against an independent recount. Unordered
-  // messages carry no timestamp, hence no potential frontier to classify.
-  if (core_->observing() && data->mode() != OrderingMode::kUnordered) {
-    core_->RecordDeliveryProvenance(*data);
-  }
+  // cross-check the recorder against an independent recount.
+  core_->tap.Delivered(*data);
   if (!core_->delivery_handler) {
     return;
   }

@@ -28,6 +28,9 @@ GroupMember::GroupMember(sim::Simulator* simulator, net::Transport* transport, G
   assert(std::find(core_.view.members.begin(), core_.view.members.end(), core_.self) !=
          core_.view.members.end());
 
+  if (core_.config.observability) {
+    core_.tap.Enable(simulator, self, &core_.pipeline_stats, core_.config.provenance);
+  }
   core_.RebuildOverlay();
   pipeline_ = PipelineBuilder(&core_).AddDefaultStack().Build();
   // No sender batching in overlay mode: coalescing happens per-link on the
@@ -110,7 +113,7 @@ void GroupMember::DeclareDependency(const MessageId& dep) {
   // Without a recorder the declaration has no observer; skip the append so
   // uninstrumented members never grow the pending list. Unordered ids
   // ({*, 0}) are not individually identifiable — nothing to declare against.
-  if (core_.provenance() == nullptr || dep.sender == 0 || dep.seq == 0) {
+  if (!core_.tap.has_provenance() || dep.sender == 0 || dep.seq == 0) {
     return;
   }
   core_.pending_deps.push_back(dep);
@@ -168,20 +171,15 @@ SendResult GroupMember::SendInternal(OrderingMode mode, net::PayloadPtr payload,
 
   const uint64_t seq = core_.causal->AllocateSendSeq();
   MessageId id{core_.self, seq};
-  if (!core_.pending_deps.empty()) {
-    // The declared dependencies now have a concrete dependent: feed the
-    // semantic graph (the recorder was non-null when they were declared, but
-    // re-check — a config could have detached it in between).
-    if (obs::ProvenanceRecorder* recorder = core_.provenance()) {
-      for (const MessageId& dep : core_.pending_deps) {
-        recorder->DeclareSemanticDep(SpanKey(id), SpanKey(dep));
-      }
-    }
-    core_.pending_deps.clear();
+  // The declared dependencies now have a concrete dependent: feed the
+  // semantic graph.
+  for (const MessageId& dep : core_.pending_deps) {
+    core_.tap.Depends(id, dep);
   }
+  core_.pending_deps.clear();
   auto data = mem::MakePooled<GroupData>(core_.config.group_id, id, mode, VectorClock{},
                                          std::move(payload), core_.simulator->now());
-  core_.RecordSpan(id, sim::SpanEvent::kSend, "member", ToString(mode));
+  core_.tap.Send(id, mode);
   // Each layer stamps its own header section (vector timestamp, then
   // acks/piggyback) before the message is shared with anyone.
   pipeline_.OnSend(*data);

@@ -155,14 +155,6 @@ class GroupMember {
   size_t peak_buffered_bytes() const;
   const CausalBufferStrategy& stability() const;
 
-  // Port layout: each group uses a contiguous block so several groups can
-  // share a transport. (The formulas live in GroupPorts; these forward.)
-  static uint32_t DataPort(GroupId g) { return GroupPorts::Data(g); }
-  static uint32_t OrderPort(GroupId g) { return GroupPorts::Order(g); }
-  static uint32_t AckPort(GroupId g) { return GroupPorts::Ack(g); }
-  static uint32_t TokenPort(GroupId g) { return GroupPorts::Token(g); }
-  static uint32_t MembershipPort(GroupId g) { return GroupPorts::Membership(g); }
-
  private:
   SendResult SendInternal(OrderingMode mode, net::PayloadPtr payload, bool admission_exempt);
 

@@ -22,15 +22,8 @@ void HybridBuffer::SetMembers(const std::vector<MemberId>& members) {
       ++reporting_;
     }
   }
-  // Evicted senders can never be acked under their old id again; drop any
-  // non-contiguous overflow strays they left behind (retention_ring.h). A
-  // no-op on the protocol path, where retention is always contiguous.
-  buffer_.PurgeOverflowNotIn(members_, [this](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, "evicted-sender");
-  });
+  PurgeEvicted(members_);
   RecomputeFloor();
-  ChargeBudget(buffered_bytes_, buffer_.count());
 }
 
 VectorClock& HybridBuffer::Row(MemberId member) {
@@ -88,13 +81,7 @@ void HybridBuffer::AddToBuffer(const GroupDataPtr& msg) {
   if (AllReported() && msg->id().seq <= floor_.Get(msg->id().sender)) {
     return;  // already stable everywhere; nothing to retain
   }
-  if (!buffer_.Add(msg)) {
-    return;
-  }
-  buffered_bytes_ += msg->SizeBytes() + msg->HeaderBytes();
-  peak_count_ = std::max(peak_count_, buffer_.count());
-  peak_bytes_ = std::max(peak_bytes_, buffered_bytes_);
-  ChargeBudget(buffered_bytes_, buffer_.count());
+  Retain(msg);
 }
 
 VectorClock HybridBuffer::StableVector() const {
@@ -141,7 +128,7 @@ void HybridBuffer::NoteRowRaise(MemberId sender, uint64_t old_value) {
     return;
   }
   floor_.RaiseTo(sender, min_count);
-  ReleaseStable(sender, min_count);
+  ReleaseUpTo(sender, min_count, "floor");
 }
 
 HybridBuffer::FloorMin HybridBuffer::ScanMin(MemberId sender) const {
@@ -178,23 +165,10 @@ void HybridBuffer::RecomputeFloor() {
   ReleaseAllStable();
 }
 
-void HybridBuffer::ReleaseStable(MemberId sender, uint64_t floor) {
-  buffer_.Release(sender, floor, [this](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, "floor");
-  });
-  ChargeBudget(buffered_bytes_, buffer_.count());
-}
-
 void HybridBuffer::ReleaseAllStable() {
-  if (floor_.empty()) {
-    return;
+  if (!floor_.empty()) {
+    ReleaseUpTo(floor_, "floor-sweep");
   }
-  buffer_.ReleaseStable(floor_, [this](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, "floor-sweep");
-  });
-  ChargeBudget(buffered_bytes_, buffer_.count());
 }
 
 void HybridBuffer::Prune() {
@@ -204,11 +178,5 @@ void HybridBuffer::Prune() {
     ReleaseAllStable();
   }
 }
-
-std::vector<GroupDataPtr> HybridBuffer::UnstableMessages() const {
-  return buffer_.CollectAll();
-}
-
-GroupDataPtr HybridBuffer::Find(const MessageId& id) const { return buffer_.Find(id); }
 
 }  // namespace catocs

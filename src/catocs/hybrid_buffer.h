@@ -43,13 +43,6 @@ class HybridBuffer : public CausalBufferStrategy {
   uint64_t StableFloorFor(MemberId sender) const override;
   MemberId SlowestMemberFor(MemberId sender) const override;
   void Prune() override;
-  std::vector<GroupDataPtr> UnstableMessages() const override;
-  GroupDataPtr Find(const MessageId& id) const override;
-
-  size_t buffered_count() const override { return buffer_.count(); }
-  size_t buffered_bytes() const override { return buffered_bytes_; }
-  size_t peak_buffered_count() const override { return peak_count_; }
-  size_t peak_buffered_bytes() const override { return peak_bytes_; }
 
  private:
   // The floor is only meaningful once every current member has reported at
@@ -82,7 +75,6 @@ class HybridBuffer : public CausalBufferStrategy {
   // Full floor recompute + release, for membership changes and the
   // all-reported transition.
   void RecomputeFloor();
-  void ReleaseStable(MemberId sender, uint64_t floor);
   void ReleaseAllStable();
 
   std::vector<MemberId> members_;  // sorted
@@ -94,10 +86,6 @@ class HybridBuffer : public CausalBufferStrategy {
   VectorClock floor_;     // per-sender stability floor; valid iff AllReported()
   // Cached per-sender column minimum backing floor_ (see FloorMin above).
   std::map<MemberId, FloorMin> floor_min_;
-  RetentionRing buffer_;  // per-sender lanes, same churn profile as the full tracker
-  size_t buffered_bytes_ = 0;
-  size_t peak_count_ = 0;
-  size_t peak_bytes_ = 0;
 };
 
 }  // namespace catocs

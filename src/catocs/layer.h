@@ -21,12 +21,11 @@
 #include <cassert>
 #include <vector>
 
+#include "src/catocs/hold_tap.h"
 #include "src/catocs/message.h"
-#include "src/catocs/pipeline_stats.h"
 #include "src/catocs/types.h"
 #include "src/net/overlay.h"
 #include "src/net/transport.h"
-#include "src/obs/provenance.h"
 #include "src/sim/simulator.h"
 
 namespace catocs {
@@ -41,8 +40,7 @@ class StabilityLayer;
 class TotalOrderLayer;
 
 // Port layout: each group uses a contiguous block so several groups can
-// share a transport. (GroupMember re-exports these as its static port
-// accessors; the formulas live here so layers never depend on the facade.)
+// share a transport.
 struct GroupPorts {
   static uint32_t Data(GroupId g) { return 0x0C000000u + g * 8; }
   static uint32_t Order(GroupId g) { return 0x0C000001u + g * 8; }
@@ -90,9 +88,11 @@ struct GroupCore {
   // never touches it.
   ResourceBudget budget;
 
-  // Per-layer hold-time attribution, populated only under
-  // config.observability (see pipeline_stats.h).
+  // Per-layer hold-time attribution, and the tap every wait point and
+  // per-message event reports through; enabled only under
+  // config.observability (see hold_tap.h).
   PipelineStats pipeline_stats;
+  HoldTap tap;
 
   // Semantic dependencies declared for this member's next ordered send
   // (GroupMember::DeclareDependency); attached to the message when its id is
@@ -114,58 +114,6 @@ struct GroupCore {
     if (overlay_mode()) {
       overlay.Rebuild(view.members, self);
     }
-  }
-
-  bool observing() const { return config.observability; }
-
-  // The provenance recorder, iff this member is actually instrumented.
-  obs::ProvenanceRecorder* provenance() const {
-    return config.observability ? config.provenance : nullptr;
-  }
-
-  // Gap provenance for a wait released at `now`: classifies the hold as
-  // false or necessary causality against the semantic graph (no-op without
-  // a recorder, for zero-length waits, and for unkeyed messages).
-  void RecordHoldProvenance(const MessageId& id, const char* layer, sim::TimePoint entered,
-                            bool gates_delivery = true) {
-    obs::ProvenanceRecorder* recorder = provenance();
-    if (recorder != nullptr) {
-      recorder->RecordHold(SpanKey(id), self, layer, entered, simulator->now(), gates_delivery);
-    }
-  }
-
-  // Delivery provenance: the potential-causality frontier a message's
-  // timestamp implies — the newest predecessor per clock entry, plus the
-  // sender's own previous message (the FIFO edge).
-  void RecordDeliveryProvenance(const GroupData& data) {
-    obs::ProvenanceRecorder* recorder = provenance();
-    if (recorder == nullptr) {
-      return;
-    }
-    std::vector<obs::MsgKey> frontier;
-    frontier.reserve(data.vt().entry_count());
-    for (const auto& [member, value] : data.vt().entries()) {
-      if (member == data.id().sender) {
-        if (data.id().seq > 1) {
-          frontier.push_back(SpanKey(MessageId{member, data.id().seq - 1}));
-        }
-      } else {
-        frontier.push_back(SpanKey(MessageId{member, value}));
-      }
-    }
-    recorder->RecordDelivery(SpanKey(data.id()), self, simulator->now(), frontier);
-  }
-
-  // Span emission helper: no-op unless observability is on AND the
-  // simulator's span recorder is enabled, so layers can call this
-  // unconditionally on instrumented paths.
-  void RecordSpan(const MessageId& id, sim::SpanEvent event, const char* layer,
-                  std::string note = {}) {
-    if (!config.observability) {
-      return;
-    }
-    simulator->spans().Record(SpanKey(id), self, simulator->now(), event, layer,
-                              std::move(note));
   }
 
   bool IsSequencer() const { return self == Sequencer(); }

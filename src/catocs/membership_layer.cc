@@ -111,9 +111,7 @@ void MembershipLayer::ReportFailure(MemberId suspect, bool deliberate) {
 }
 
 void MembershipLayer::QueueBlockedSend(OrderingMode mode, net::PayloadPtr payload) {
-  if (core_->observing()) {
-    core_->pipeline_stats.RecordEnter(HoldReason::kFlushBlocked);
-  }
+  core_->tap.Enter(HoldReason::kFlushBlocked, MessageId{});  // no id until re-issued
   // Carry any declared-but-unattached dependencies with the queued send so
   // the flush round trip neither loses them nor leaks them onto whatever the
   // application sends next.
@@ -544,22 +542,16 @@ void MembershipLayer::FinishBlockedSends() {
   while (!blocked_sends_.empty() && !flushing_) {
     BlockedSend blocked = std::move(blocked_sends_.front());
     blocked_sends_.pop_front();
-    if (core_->observing()) {
-      core_->pipeline_stats.RecordRelease(HoldReason::kFlushBlocked,
-                                          core_->simulator->now() - blocked.queued_at);
-    }
     core_->pending_deps = std::move(blocked.deps);
     // Re-issue outside flow admission: the send was admitted when it was
     // queued, and shedding or backpressuring it now would silently lose an
     // accepted message.
     const MessageId id =
         core_->member->ReissueBlockedSend(blocked.mode, std::move(blocked.payload)).id;
-    // Flush-block provenance: the whole group stopped sending, a wait no
-    // per-message semantic dependency asked for. Keyed by the id the send
-    // finally got; zero ids (dropped or re-queued) are skipped.
-    if (id.seq != 0) {
-      core_->RecordHoldProvenance(id, name(), blocked.queued_at);
-    }
+    // The whole group stopped sending, a wait no per-message semantic
+    // dependency asked for. Keyed by the id the send finally got, so it is
+    // released after the re-issue has declared that id's dependencies.
+    core_->tap.Release(HoldReason::kFlushBlocked, id, blocked.queued_at);
   }
 }
 

@@ -7,13 +7,7 @@ namespace catocs {
 void OverlayCausalStrategy::SetMembers(const std::vector<MemberId>& members) {
   members_ = members;
   std::sort(members_.begin(), members_.end());
-  // Evicted senders can never be acked under their old id again; drop any
-  // non-contiguous overflow strays they left behind (retention_ring.h).
-  buffer_.PurgeOverflowNotIn(members_, [this](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, "evicted-sender");
-  });
-  ChargeBudget(buffered_bytes_, buffer_.count());
+  PurgeEvicted(members_);
 }
 
 void OverlayCausalStrategy::SetReportSet(MemberId self, const std::vector<MemberId>& children) {
@@ -49,13 +43,7 @@ void OverlayCausalStrategy::AddToBuffer(const GroupDataPtr& msg) {
   if (msg->id().seq <= floor_.Get(msg->id().sender)) {
     return;  // already announced stable; nothing to retain
   }
-  if (!buffer_.Add(msg)) {
-    return;
-  }
-  buffered_bytes_ += msg->SizeBytes() + msg->HeaderBytes();
-  peak_count_ = std::max(peak_count_, buffer_.count());
-  peak_bytes_ = std::max(peak_bytes_, buffered_bytes_);
-  ChargeBudget(buffered_bytes_, buffer_.count());
+  Retain(msg);
 }
 
 VectorClock OverlayCausalStrategy::SubtreeFloor() const {
@@ -113,19 +101,9 @@ void OverlayCausalStrategy::ReleaseUnderFloor(const char* cause) {
   if (floor_.empty()) {
     return;
   }
-  buffer_.ReleaseStable(floor_, [this, cause](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, cause);
-  });
-  ChargeBudget(buffered_bytes_, buffer_.count());
+  ReleaseUpTo(floor_, cause);
 }
 
 void OverlayCausalStrategy::Prune() { ReleaseUnderFloor("floor-sweep"); }
-
-std::vector<GroupDataPtr> OverlayCausalStrategy::UnstableMessages() const {
-  return buffer_.CollectAll();
-}
-
-GroupDataPtr OverlayCausalStrategy::Find(const MessageId& id) const { return buffer_.Find(id); }
 
 }  // namespace catocs

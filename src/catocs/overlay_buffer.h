@@ -46,13 +46,6 @@ class OverlayCausalStrategy : public CausalBufferStrategy {
   uint64_t StableFloorFor(MemberId sender) const override { return floor_.Get(sender); }
   MemberId SlowestMemberFor(MemberId sender) const override;
   void Prune() override;
-  std::vector<GroupDataPtr> UnstableMessages() const override;
-  GroupDataPtr Find(const MessageId& id) const override;
-
-  size_t buffered_count() const override { return buffer_.count(); }
-  size_t buffered_bytes() const override { return buffered_bytes_; }
-  size_t peak_buffered_count() const override { return peak_count_; }
-  size_t peak_buffered_bytes() const override { return peak_bytes_; }
 
   // --- overlay-specific surface (driven by StabilityLayer) ------------------
   // Installs the aggregation set for the current tree: self plus the overlay
@@ -78,10 +71,6 @@ class OverlayCausalStrategy : public CausalBufferStrategy {
   MemberMatrix reports_;
   size_t row_cache_ = 0;
   VectorClock floor_;     // adopted release floor; monotone across views
-  RetentionRing buffer_;  // same per-sender-lane layout as the other strategies
-  size_t buffered_bytes_ = 0;
-  size_t peak_count_ = 0;
-  size_t peak_bytes_ = 0;
 };
 
 }  // namespace catocs

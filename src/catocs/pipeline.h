@@ -49,11 +49,6 @@ class Pipeline {
       layer->TryDeliver();
     }
   }
-  void NotifyViewChange(const View& view) {
-    for (auto& layer : layers_) {
-      layer->OnViewChange(view);
-    }
-  }
 
   const std::vector<std::unique_ptr<OrderingLayer>>& layers() const { return layers_; }
 

@@ -7,8 +7,8 @@
 // breakdown — how many messages entered it, how many waited at all, and the
 // total/max time spent — keyed by a HoldReason that names both the owning
 // layer and why the message could not proceed. One instance hangs off each
-// GroupCore; layers feed it only when GroupConfig::observability is set, so
-// the default fast path records nothing.
+// GroupCore, fed through its HoldTap (hold_tap.h) only when
+// GroupConfig::observability is set, so the default path records nothing.
 
 #ifndef REPRO_SRC_CATOCS_PIPELINE_STATS_H_
 #define REPRO_SRC_CATOCS_PIPELINE_STATS_H_

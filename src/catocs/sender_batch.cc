@@ -16,7 +16,7 @@ void SenderBatcher::Append(const GroupDataPtr& data) {
   // Each constituent opens its own batch-hold span at entry: the time it
   // spends parked here (waiting for the batch to fill or the timer) is part
   // of *its* lifecycle, not the frame's.
-  core_->RecordSpan(data->id(), sim::SpanEvent::kEnter, "batch", "");
+  core_->tap.Batched(data->id());
   pending_.push_back(data);
   pending_bytes_ += data->SizeBytes() + data->HeaderBytes();
   ChargeBudget();
@@ -54,14 +54,7 @@ void SenderBatcher::FlushNow() {
   core_->stats.ordering_header_bytes +=
       batch->HeaderBytes() * (core_->view.members.size() - 1);
   core_->stats.data_transmissions += core_->view.members.size() - 1;
-  if (core_->observing()) {
-    // Close every constituent's batch-hold span: the frame is leaving now,
-    // so each one records its own (enter -> deliver) wait individually.
-    for (const GroupDataPtr& entry : batch->entries()) {
-      core_->RecordSpan(entry->id(), sim::SpanEvent::kDeliver, "batch",
-                        "flush n=" + std::to_string(batch->entries().size()));
-    }
-  }
+  core_->tap.Unbatched(batch->entries(), /*sent=*/true);
   core_->BroadcastReliable(GroupPorts::Data(core_->config.group_id), batch);
   core_->SyncTransportBudget();
 }
@@ -71,9 +64,7 @@ void SenderBatcher::DropPending() {
     core_->simulator->Cancel(flush_timer_);
     flush_timer_ = sim::EventId{};
   }
-  for (const GroupDataPtr& entry : pending_) {
-    core_->RecordSpan(entry->id(), sim::SpanEvent::kDrop, "batch", "sender-stopped");
-  }
+  core_->tap.Unbatched(pending_, /*sent=*/false);
   pending_.clear();
   pending_bytes_ = 0;
   ChargeBudget();

@@ -47,8 +47,6 @@ class SenderBatcher {
   // transport. (Atomic-but-not-durable, as ever.)
   void DropPending();
 
-  size_t pending_count() const { return pending_.size(); }
-
  private:
   void ArmTimer();
   // Reports pending-constituent occupancy to the group budget (no-op when

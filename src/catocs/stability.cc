@@ -54,14 +54,7 @@ void StabilityTracker::SetMembers(const std::vector<MemberId>& members) {
                                                                   members_.end(), row.first);
                                      }),
                       delivered_by_.end());
-  // Evicted senders can never be acked under their old id again; drop any
-  // non-contiguous overflow strays they left behind (retention_ring.h). A
-  // no-op on the protocol path, where retention is always contiguous.
-  buffer_.PurgeOverflowNotIn(members_, [this](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, "evicted-sender");
-  });
-  ChargeBudget(buffered_bytes_, buffer_.count());
+  PurgeEvicted(members_);
 }
 
 void StabilityTracker::UpdateMemberVector(MemberId member, const VectorClock& vec) {
@@ -70,16 +63,6 @@ void StabilityTracker::UpdateMemberVector(MemberId member, const VectorClock& ve
 
 void StabilityTracker::UpdateMemberEntry(MemberId member, MemberId sender, uint64_t count) {
   MatrixRowCached(delivered_by_, member, row_cache_).RaiseTo(sender, count);
-}
-
-void StabilityTracker::AddToBuffer(const GroupDataPtr& msg) {
-  if (!buffer_.Add(msg)) {
-    return;
-  }
-  buffered_bytes_ += msg->SizeBytes() + msg->HeaderBytes();
-  peak_count_ = std::max(peak_count_, buffer_.count());
-  peak_bytes_ = std::max(peak_bytes_, buffered_bytes_);
-  ChargeBudget(buffered_bytes_, buffer_.count());
 }
 
 VectorClock StabilityTracker::StableVector() const {
@@ -104,18 +87,13 @@ VectorClock StabilityTracker::StableVector() const {
 }
 
 void StabilityTracker::Prune() {
-  if (buffer_.empty()) {
+  if (buffered_count() == 0) {
     return;
   }
   const VectorClock stable = StableVector();
-  if (stable.empty()) {
-    return;
+  if (!stable.empty()) {
+    ReleaseUpTo(stable, "prune");
   }
-  buffer_.ReleaseStable(stable, [this](const GroupDataPtr& msg) {
-    buffered_bytes_ -= msg->SizeBytes() + msg->HeaderBytes();
-    NotifyRelease(msg, "prune");
-  });
-  ChargeBudget(buffered_bytes_, buffer_.count());
 }
 
 uint64_t StabilityTracker::StableFloorFor(MemberId sender) const {
@@ -143,11 +121,5 @@ MemberId StabilityTracker::SlowestMemberFor(MemberId sender) const {
   }
   return slowest;
 }
-
-std::vector<GroupDataPtr> StabilityTracker::UnstableMessages() const {
-  return buffer_.CollectAll();
-}
-
-GroupDataPtr StabilityTracker::Find(const MessageId& id) const { return buffer_.Find(id); }
 
 }  // namespace catocs

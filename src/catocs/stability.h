@@ -22,7 +22,6 @@
 
 #include "src/catocs/causal_buffer.h"
 #include "src/catocs/message.h"
-#include "src/catocs/retention_ring.h"
 
 namespace catocs {
 
@@ -49,27 +48,15 @@ class StabilityTracker : public CausalBufferStrategy {
   void SetMembers(const std::vector<MemberId>& members) override;
   void UpdateMemberVector(MemberId member, const VectorClock& vec) override;
   void UpdateMemberEntry(MemberId member, MemberId sender, uint64_t count) override;
-  void AddToBuffer(const GroupDataPtr& msg) override;
   VectorClock StableVector() const override;
   uint64_t StableFloorFor(MemberId sender) const override;
   MemberId SlowestMemberFor(MemberId sender) const override;
   void Prune() override;
-  std::vector<GroupDataPtr> UnstableMessages() const override;
-  GroupDataPtr Find(const MessageId& id) const override;
-
-  size_t buffered_count() const override { return buffer_.count(); }
-  size_t buffered_bytes() const override { return buffered_bytes_; }
-  size_t peak_buffered_count() const override { return peak_count_; }
-  size_t peak_buffered_bytes() const override { return peak_bytes_; }
 
  private:
   std::vector<MemberId> members_;
   MemberMatrix delivered_by_;
   size_t row_cache_ = 0;  // last-touched row index, validated before use
-  RetentionRing buffer_;
-  size_t buffered_bytes_ = 0;
-  size_t peak_count_ = 0;
-  size_t peak_bytes_ = 0;
 };
 
 }  // namespace catocs

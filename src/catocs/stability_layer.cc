@@ -28,9 +28,8 @@ StabilityLayer::StabilityLayer(GroupCore* core)
     // OnViewChange.
     overlay_strategy_->SetReportSet(core->self, core->overlay.children());
   }
-  if (core->config.observability) {
-    strategy_->SetReleaseObserver(
-        [this](const GroupDataPtr& msg, const char* cause) { OnBufferRelease(msg, cause); });
+  if (core->tap.on()) {
+    strategy_->SetHoldTap(&core->tap);
   }
 }
 
@@ -137,11 +136,7 @@ void StabilityLayer::OnViewChange(const View& view) {
 }
 
 void StabilityLayer::OnCausalDeliver(const GroupDataPtr& data) {
-  if (core_->observing() && buffered_since_.emplace(data->id(), core_->simulator->now()).second) {
-    core_->pipeline_stats.RecordEnter(HoldReason::kStability);
-    core_->RecordSpan(data->id(), sim::SpanEvent::kEnter, name(),
-                      ToString(HoldReason::kStability));
-  }
+  core_->tap.Enter(HoldReason::kStability, data->id());
   // Retain for atomic delivery until stable (without any piggybacked
   // predecessors, which are buffered in their own right). The empty-piggyback
   // check here keeps the common case free of a refcount round trip.
@@ -175,26 +170,6 @@ void StabilityLayer::MaybePrune() {
     last_prune_ = core_->simulator->now();
     strategy_->Prune();
   }
-}
-
-void StabilityLayer::OnBufferRelease(const GroupDataPtr& msg, const char* cause) {
-  if (buffered_since_.empty()) {
-    return;  // nothing charged (observability off): skip the lookup entirely
-  }
-  auto it = buffered_since_.find(msg->id());
-  if (it == buffered_since_.end()) {
-    // A copy we retained without causally delivering it ourselves (e.g.
-    // flush redistribution of another member's unstable backlog): released
-    // silently, since we never charged its entry.
-    return;
-  }
-  core_->pipeline_stats.RecordRelease(HoldReason::kStability,
-                                      core_->simulator->now() - it->second);
-  core_->RecordSpan(msg->id(), sim::SpanEvent::kStable, name(), cause);
-  // Retention provenance: a stability hold costs buffer memory, not delivery
-  // latency, so it is tallied but never classified as false causality.
-  core_->RecordHoldProvenance(msg->id(), name(), it->second, /*gates_delivery=*/false);
-  buffered_since_.erase(it);
 }
 
 void StabilityLayer::GossipAcks() {

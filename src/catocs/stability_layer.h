@@ -8,7 +8,6 @@
 #ifndef REPRO_SRC_CATOCS_STABILITY_LAYER_H_
 #define REPRO_SRC_CATOCS_STABILITY_LAYER_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -58,10 +57,6 @@ class StabilityLayer : public OrderingLayer {
   // down. O(degree) frames per member per round instead of O(N).
   void GossipOverlayFloor();
   void OnStabilityFloor(MemberId src, const StabilityFloor& frame);
-  // Observability: a buffered copy became stable and left the strategy.
-  // `cause` names the release mechanism ("prune", "floor", "floor-sweep") —
-  // it rides into the span note and the retention-hold provenance.
-  void OnBufferRelease(const GroupDataPtr& msg, const char* cause);
 
   std::unique_ptr<CausalBufferStrategy> strategy_;
   // Downcast view of strategy_ when the group runs the overlay path; null
@@ -69,9 +64,6 @@ class StabilityLayer : public OrderingLayer {
   OverlayCausalStrategy* overlay_strategy_ = nullptr;
   sim::TimePoint last_prune_ = sim::TimePoint::Zero();
   std::unique_ptr<sim::PeriodicTimer> gossip_timer_;
-  // When each retained copy entered the buffer; maintained only under
-  // observability (empty otherwise).
-  std::map<MessageId, sim::TimePoint> buffered_since_;
 };
 
 }  // namespace catocs

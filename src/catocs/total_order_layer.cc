@@ -52,11 +52,8 @@ void TotalOrderLayer::OnCausalDeliver(const GroupData& data) {
   if (data.mode() != OrderingMode::kTotal) {
     return;
   }
-  if (core_->observing() && !seq_by_id_.count(data.id()) &&
-      awaiting_assign_.emplace(data.id(), core_->simulator->now()).second) {
-    core_->pipeline_stats.RecordEnter(HoldReason::kOrderAssign);
-    core_->RecordSpan(data.id(), sim::SpanEvent::kEnter, name(),
-                      ToString(HoldReason::kOrderAssign));
+  if (core_->tap.on() && !seq_by_id_.count(data.id())) {
+    core_->tap.Enter(HoldReason::kOrderAssign, data.id());
   }
   if (core_->config.total_order_mode == TotalOrderMode::kSequencer) {
     if (core_->IsSequencer() && !seq_by_id_.count(data.id())) {
@@ -139,16 +136,7 @@ void TotalOrderLayer::ApplyAssignments(
   }
   for (const auto& [id, seq] : assignments) {
     if (seq_by_id_.emplace(id, seq).second) {
-      if (core_->observing()) {
-        if (auto it = awaiting_assign_.find(id); it != awaiting_assign_.end()) {
-          core_->pipeline_stats.RecordRelease(HoldReason::kOrderAssign,
-                                              core_->simulator->now() - it->second);
-          core_->RecordSpan(id, sim::SpanEvent::kStamp, name(),
-                            "seq=" + std::to_string(seq));
-          core_->RecordHoldProvenance(id, name(), it->second);
-          awaiting_assign_.erase(it);
-        }
-      }
+      core_->tap.Assigned(id, seq);
       order_by_seq_[seq] = id;
       if (token_mode) {
         new (&fresh[fresh_count++]) SeqAssignment(seq, id);

@@ -88,9 +88,6 @@ class TotalOrderLayer : public OrderingLayer {
   // local causal delivery order (a linear extension of happens-before).
   std::deque<MessageId> unassigned_total_;
   bool holding_token_ = false;
-  // Observability: when each causally delivered kTotal message started
-  // waiting for its sequence assignment (empty unless observing).
-  std::map<MessageId, sim::TimePoint> awaiting_assign_;
 };
 
 }  // namespace catocs

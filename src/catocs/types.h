@@ -270,6 +270,8 @@ struct GroupStats {
   uint64_t overlay_prebuffered = 0;   // frames stashed until their view installed
   uint64_t overlay_stale_dropped = 0; // old-view frames dropped (provable dups)
   uint64_t overlay_floor_updates = 0; // release-floor announcements adopted
+
+  bool operator==(const GroupStats&) const = default;
 };
 
 }  // namespace catocs

@@ -1,7 +1,7 @@
 // The discrete-event simulation engine.
 //
 // A Simulator owns the virtual clock, the pending-event set, a deterministic
-// RNG, a metrics registry, and a trace recorder. Protocol and application
+// RNG, a metrics registry, and a span recorder. Protocol and application
 // code never sleeps or reads wall-clock time; it schedules closures and reacts
 // when they fire. Runs are exactly reproducible for a given seed and schedule
 // order.
@@ -19,7 +19,6 @@
 #include "src/sim/rng.h"
 #include "src/sim/span.h"
 #include "src/sim/time.h"
-#include "src/sim/trace.h"
 
 namespace sim {
 
@@ -34,7 +33,6 @@ class Simulator {
   Rng& rng() { return rng_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  Trace& trace() { return trace_; }
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
 
@@ -78,7 +76,6 @@ class Simulator {
   EventQueue queue_;
   Rng rng_;
   MetricsRegistry metrics_;
-  Trace trace_;
   SpanRecorder spans_;
   uint64_t events_executed_ = 0;
   uint64_t event_limit_ = 0;

@@ -6,8 +6,8 @@
 // ForKey() reconstructs one message's timeline for post-mortem dumps (e.g.
 // `fuzz_chaos --trace` printing the span history of a violating message).
 //
-// Like Trace, the recorder is disabled by default and Record() is a cheap
-// early-out, so instrumented protocol code costs nothing in ordinary runs.
+// The recorder is disabled by default and Record() is a cheap early-out, so
+// instrumented protocol code costs nothing in ordinary runs.
 
 #ifndef REPRO_SRC_SIM_SPAN_H_
 #define REPRO_SRC_SIM_SPAN_H_

@@ -20,14 +20,23 @@ net::PayloadPtr Blob(const std::string& tag) {
   return std::make_shared<net::BlobPayload>(tag, 48);
 }
 
+// gtest names each case by printing the parameter's raw bytes. The bytes after
+// `members` and after `piggyback` used to be padding, so a case's name
+// depended on whatever the stack held when the sweep was registered (it
+// shifted with the size of the process environment). `name_bytes` and
+// `name_tail` make them explicit; the test never reads them, and the
+// `name_bytes` values keep the names the sweep's cases are listed under.
 struct HostileParams {
   uint32_t members;
+  uint32_t name_bytes;
   double drop;
   double duplicate;
   bool piggyback;
+  uint8_t name_tail[3];
   TotalOrderMode total_mode;
   uint64_t seed;
 };
+static_assert(sizeof(HostileParams) == 40, "HostileParams must have no padding");
 
 class HostileNetworkTest : public ::testing::TestWithParam<HostileParams> {};
 
@@ -70,16 +79,17 @@ TEST_P(HostileNetworkTest, InvariantsAndQuiescence) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, HostileNetworkTest,
-    ::testing::Values(HostileParams{4, 0.0, 0.0, false, TotalOrderMode::kSequencer, 1},
-                      HostileParams{4, 0.3, 0.0, false, TotalOrderMode::kSequencer, 2},
-                      HostileParams{4, 0.0, 0.3, false, TotalOrderMode::kSequencer, 3},
-                      HostileParams{4, 0.2, 0.2, false, TotalOrderMode::kSequencer, 4},
-                      HostileParams{6, 0.1, 0.1, true, TotalOrderMode::kSequencer, 5},
-                      HostileParams{6, 0.2, 0.0, true, TotalOrderMode::kSequencer, 6},
-                      HostileParams{4, 0.1, 0.1, false, TotalOrderMode::kToken, 7},
-                      HostileParams{6, 0.2, 0.1, false, TotalOrderMode::kToken, 8},
-                      HostileParams{10, 0.15, 0.05, false, TotalOrderMode::kSequencer, 9},
-                      HostileParams{10, 0.1, 0.0, false, TotalOrderMode::kToken, 10}));
+    ::testing::Values(
+        HostileParams{4, 0, 0.0, 0.0, false, {}, TotalOrderMode::kSequencer, 1},
+        HostileParams{4, 0, 0.3, 0.0, false, {}, TotalOrderMode::kSequencer, 2},
+        HostileParams{4, 0, 0.0, 0.3, false, {}, TotalOrderMode::kSequencer, 3},
+        HostileParams{4, 0, 0.2, 0.2, false, {}, TotalOrderMode::kSequencer, 4},
+        HostileParams{6, 0, 0.1, 0.1, true, {}, TotalOrderMode::kSequencer, 5},
+        HostileParams{6, 0, 0.2, 0.0, true, {}, TotalOrderMode::kSequencer, 6},
+        HostileParams{4, 0, 0.1, 0.1, false, {}, TotalOrderMode::kToken, 7},
+        HostileParams{6, 0xEFC00000, 0.2, 0.1, false, {}, TotalOrderMode::kToken, 8},
+        HostileParams{10, 0, 0.15, 0.05, false, {}, TotalOrderMode::kSequencer, 9},
+        HostileParams{10, 0xCAC50000, 0.1, 0.0, false, {}, TotalOrderMode::kToken, 10}));
 
 // Crash at a random instant mid-traffic; survivors must converge on a view,
 // deliver identically-ordered totals, and keep all invariants.

@@ -115,13 +115,21 @@ TEST(CausalMulticastTest, ChainAcrossThreeMembers) {
 
 // Randomized property: under reactive traffic with jitter and loss, causal
 // delivery, FIFO, and (for total mode) agreement always hold.
+//
+// gtest names each case by printing the parameter's raw bytes. The four bytes
+// after `members` used to be padding, so a case's name depended on whatever
+// the stack held when the sweep was registered (it shifted with the size of
+// the process environment). `name_bytes` makes them explicit; the test never
+// reads it, and its values keep the names the sweep's cases are listed under.
 struct PropertyParams {
   uint32_t members;
+  uint32_t name_bytes;
   double drop;
   OrderingMode mode;
   TotalOrderMode total_mode;
   uint64_t seed;
 };
+static_assert(sizeof(PropertyParams) == 32, "PropertyParams must have no padding");
 
 class OrderingPropertyTest : public ::testing::TestWithParam<PropertyParams> {};
 
@@ -161,14 +169,14 @@ TEST_P(OrderingPropertyTest, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, OrderingPropertyTest,
     ::testing::Values(
-        PropertyParams{3, 0.0, OrderingMode::kCausal, TotalOrderMode::kSequencer, 101},
-        PropertyParams{5, 0.0, OrderingMode::kCausal, TotalOrderMode::kSequencer, 102},
-        PropertyParams{8, 0.1, OrderingMode::kCausal, TotalOrderMode::kSequencer, 103},
-        PropertyParams{12, 0.2, OrderingMode::kCausal, TotalOrderMode::kSequencer, 104},
-        PropertyParams{3, 0.0, OrderingMode::kTotal, TotalOrderMode::kSequencer, 105},
-        PropertyParams{6, 0.1, OrderingMode::kTotal, TotalOrderMode::kSequencer, 106},
-        PropertyParams{4, 0.0, OrderingMode::kTotal, TotalOrderMode::kToken, 107},
-        PropertyParams{6, 0.1, OrderingMode::kTotal, TotalOrderMode::kToken, 108}));
+        PropertyParams{3, 0, 0.0, OrderingMode::kCausal, TotalOrderMode::kSequencer, 101},
+        PropertyParams{5, 0, 0.0, OrderingMode::kCausal, TotalOrderMode::kSequencer, 102},
+        PropertyParams{8, 0x5F747365, 0.1, OrderingMode::kCausal, TotalOrderMode::kSequencer, 103},
+        PropertyParams{12, 0, 0.2, OrderingMode::kCausal, TotalOrderMode::kSequencer, 104},
+        PropertyParams{3, 0x002C3B03, 0.0, OrderingMode::kTotal, TotalOrderMode::kSequencer, 105},
+        PropertyParams{6, 0, 0.1, OrderingMode::kTotal, TotalOrderMode::kSequencer, 106},
+        PropertyParams{4, 0x00091E03, 0.0, OrderingMode::kTotal, TotalOrderMode::kToken, 107},
+        PropertyParams{6, 0, 0.1, OrderingMode::kTotal, TotalOrderMode::kToken, 108}));
 
 // Reactive-chain property: every delivery triggers a reply with small
 // probability, generating deep causal chains; invariants must still hold.

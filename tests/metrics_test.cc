@@ -1,6 +1,6 @@
 // Tests for the metrics registry (counters, gauges, histograms, labeled
-// lookup, Report/ReportJson), the trace filter, and the span recorder — the
-// observability surface the benches and fuzz_chaos --trace rely on.
+// lookup, Report/ReportJson) and the span recorder — the observability
+// surface the benches and fuzz_chaos --trace rely on.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "src/sim/metrics.h"
 #include "src/sim/span.h"
 #include "src/sim/time.h"
-#include "src/sim/trace.h"
 
 namespace sim {
 namespace {
@@ -187,28 +186,6 @@ TEST(RegistryTest, ReportJsonEscapesMetricNames) {
   for (char c : json) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control character in JSON output";
   }
-}
-
-TEST(TraceTest, FilterByCategoryAndActor) {
-  Trace trace;
-  trace.set_enabled(true);
-  trace.Record(TimePoint(1), 0, "deliver", "a");
-  trace.Record(TimePoint(2), 1, "deliver", "b");
-  trace.Record(TimePoint(3), 0, "send", "c");
-  trace.Record(TimePoint(4), 0, "deliver", "d");
-
-  const auto all_deliver = trace.Filter("deliver");
-  ASSERT_EQ(all_deliver.size(), 3u);
-  EXPECT_EQ(all_deliver[0].detail, "a");
-  EXPECT_EQ(all_deliver[2].detail, "d");
-
-  const auto actor0 = trace.Filter("deliver", 0);
-  ASSERT_EQ(actor0.size(), 2u);
-  EXPECT_EQ(actor0[0].detail, "a");
-  EXPECT_EQ(actor0[1].detail, "d");
-
-  EXPECT_TRUE(trace.Filter("deliver", 9).empty());
-  EXPECT_TRUE(trace.Filter("nope").empty());
 }
 
 TEST(SpanRecorderTest, DisabledRecorderIsNoOp) {

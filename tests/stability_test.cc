@@ -1,5 +1,6 @@
 // Edge cases of the retention-buffer strategies (causal_buffer.h), run
-// against both implementations: the degenerate single-member group, the
+// against both vector implementations (and, for the eviction purge, the
+// overlay one too): the degenerate single-member group, the
 // stability jump when a lagging member is evicted, and the ack "wraparound"
 // hazard on crash-recovery rejoin — a rejoining process must come back under
 // a fresh member id, and stale acks from its dead id must not advance the
@@ -8,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/catocs/causal_buffer.h"
+#include "src/catocs/hold_tap.h"
+#include "src/catocs/overlay_buffer.h"
 #include "src/net/payload.h"
+#include "src/sim/simulator.h"
 
 namespace catocs {
 namespace {
@@ -21,6 +27,27 @@ GroupDataPtr Msg(MemberId sender, uint64_t seq) {
   return std::make_shared<GroupData>(1, MessageId{sender, seq}, OrderingMode::kCausal,
                                      std::move(vt), std::make_shared<net::BlobPayload>("t", 64),
                                      sim::TimePoint::Zero());
+}
+
+// Evicts sender 3 (members {1,2,3} -> {1,2,4}: 3 rejoins under fresh id 4)
+// with a tap watching the retained stray {3,5}, and returns the cause the
+// tap's kStable span recorded for it ("" if its hold never ended).
+std::string EvictionReleaseCause(CausalBufferStrategy& buffer) {
+  sim::Simulator s(1);
+  s.spans().set_enabled(true);
+  PipelineStats stats;
+  HoldTap tap;
+  tap.Enable(&s, /*self=*/1, &stats, /*provenance=*/nullptr);
+  tap.Enter(HoldReason::kStability, MessageId{3, 5});
+  buffer.SetHoldTap(&tap);
+  buffer.SetMembers({1, 2, 4});
+  buffer.SetHoldTap(nullptr);
+  EXPECT_EQ(1u, stats.reason(HoldReason::kStability).released);
+  const std::vector<sim::SpanRecord> timeline = s.spans().ForKey(SpanKey(MessageId{3, 5}));
+  if (timeline.empty() || timeline.back().event != sim::SpanEvent::kStable) {
+    return "";
+  }
+  return timeline.back().note;
 }
 
 class CausalBufferTest : public ::testing::TestWithParam<CausalBufferKind> {
@@ -134,15 +161,10 @@ TEST_P(CausalBufferTest, EvictedSenderOverflowStraysPurgedOnMemberChange) {
   // is gone for good (MeetMin drops departed rows; the rejoiner reports under
   // 4), so without the eviction purge the {3,5} stray would be retained
   // forever — and its bytes would stay charged against the resource budget.
-  std::vector<std::string> causes;
-  buffer_->SetReleaseObserver(
-      [&causes](const GroupDataPtr&, const char* cause) { causes.emplace_back(cause); });
-  buffer_->SetMembers({1, 2, 4});
+  EXPECT_EQ("evicted-sender", EvictionReleaseCause(*buffer_));
   EXPECT_EQ(0u, buffer_->buffered_count());
   EXPECT_EQ(0u, buffer_->buffered_bytes());
   EXPECT_EQ(nullptr, buffer_->Find(MessageId{3, 5}));
-  ASSERT_EQ(1u, causes.size());
-  EXPECT_EQ("evicted-sender", causes[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, CausalBufferTest,
@@ -152,6 +174,25 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, CausalBufferTest,
                            return info.param == CausalBufferKind::kFullVector ? "FullVector"
                                                                               : "Hybrid";
                          });
+
+// The overlay strategy releases by an adopted floor rather than by member
+// rows, but a departed sender's overflow strays must go the same way.
+TEST(OverlayBufferTest, EvictedSenderOverflowStraysPurgedOnMemberChange) {
+  OverlayCausalStrategy buffer;
+  buffer.SetMembers({1, 2, 3});
+  buffer.AddToBuffer(Msg(3, 1));
+  buffer.AddToBuffer(Msg(3, 2));
+  buffer.AddToBuffer(Msg(3, 5));
+  VectorClock floor;
+  floor.Set(3, 2);
+  buffer.AdoptFloor(floor);
+  ASSERT_EQ(1u, buffer.buffered_count());
+
+  EXPECT_EQ("evicted-sender", EvictionReleaseCause(buffer));
+  EXPECT_EQ(0u, buffer.buffered_count());
+  EXPECT_EQ(0u, buffer.buffered_bytes());
+  EXPECT_EQ(nullptr, buffer.Find(MessageId{3, 5}));
+}
 
 }  // namespace
 }  // namespace catocs
