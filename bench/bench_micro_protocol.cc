@@ -13,7 +13,6 @@
 #include "src/catocs/stability.h"
 #include "src/catocs/vector_clock.h"
 #include "src/catocs/wire_codec.h"
-#include "src/mem/arena.h"
 #include "src/mem/pool.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
@@ -193,22 +192,6 @@ void BM_HeapMessageChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeapMessageChurn)->Arg(4)->Arg(64);
-
-// Arena scratch: the token window's merge staging — allocate a run, fill,
-// reset. Steady-state this never touches the heap.
-void BM_ArenaScratchCycle(benchmark::State& state) {
-  mem::Arena arena;
-  const size_t n = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto* slots = static_cast<uint64_t*>(arena.Allocate(n * sizeof(uint64_t), alignof(uint64_t)));
-    for (size_t i = 0; i < n; ++i) {
-      slots[i] = i;
-    }
-    benchmark::DoNotOptimize(slots);
-    arena.Reset();
-  }
-}
-BENCHMARK(BM_ArenaScratchCycle)->Arg(64)->Arg(512);
 
 // Stability advance: every member reports its delivered vector, then the
 // tracker computes the stable floor and prunes. This is the ack-gossip path

@@ -11,7 +11,7 @@
 
 namespace catocs {
 
-void CausalLayer::OnSend(GroupData& data) {
+void CausalLayer::Stamp(GroupData& data) {
   VectorClock vt = vd_;
   vt.Set(core_->self, data.id().seq);
   if (core_->overlay_mode()) {
@@ -22,7 +22,7 @@ void CausalLayer::OnSend(GroupData& data) {
     // gate and the invariant oracles but is never charged on the wire.
     data.set_overlay_view(core_->view.id);
     data.set_vt(std::move(vt));
-    core_->tap.Stamp(data.id(), name());
+    core_->tap.Stamp(data.id(), "causal");
     return;
   }
   if (core_->config.delta_timestamps) {
@@ -42,19 +42,16 @@ void CausalLayer::OnSend(GroupData& data) {
     encoder_valid_ = true;
   }
   data.set_vt(std::move(vt));
-  core_->tap.Stamp(data.id(), name());
+  core_->tap.Stamp(data.id(), "causal");
 }
 
-bool CausalLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) {
-  if (port != GroupPorts::Data(core_->config.group_id)) {
-    return false;
-  }
+void CausalLayer::OnData(MemberId src, const net::PayloadPtr& payload) {
   // Batched frame: unpack and ingest the constituents in their send order
   // (the batch-aware delivery gate — each constituent keeps its own
   // identity, timestamp, and delivery obligations).
   if (const auto* batch = net::PayloadCast<GroupBatch>(payload)) {
     if (batch->group() != core_->config.group_id) {
-      return true;
+      return;
     }
     const GroupDataPtr& last = batch->entries().back();
     for (const GroupDataPtr& entry : batch->entries()) {
@@ -69,12 +66,12 @@ bool CausalLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& 
       // 31 merges the per-constituent path would have done.
       Ingest(entry, /*observe_acks=*/entry == last);
     }
-    return true;
+    return;
   }
   const auto* data = net::PayloadCast<GroupData>(payload);
   assert(data != nullptr);
   if (data->group() != core_->config.group_id) {
-    return true;
+    return;
   }
   auto shared = std::static_pointer_cast<const GroupData>(payload);
   // Piggybacked predecessors are ingested first so this message's causal
@@ -86,7 +83,6 @@ bool CausalLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& 
     DecodeDeltaFrame(*shared);
   }
   Ingest(shared, /*observe_acks=*/true, src);
-  return true;
 }
 
 void CausalLayer::DecodeDeltaFrame(const GroupData& data) {

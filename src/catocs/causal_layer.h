@@ -18,17 +18,18 @@
 
 namespace catocs {
 
-class CausalLayer : public OrderingLayer {
+class CausalLayer {
  public:
-  explicit CausalLayer(GroupCore* core) : OrderingLayer(core) { core->causal = this; }
+  explicit CausalLayer(GroupCore* core) : core_(core) { core->causal = this; }
 
-  const char* name() const override { return "causal"; }
+  CausalLayer(const CausalLayer&) = delete;
+  CausalLayer& operator=(const CausalLayer&) = delete;
 
   // Stamps the vector timestamp: the delivered-vector with our own entry
   // advanced to this send — one contiguous copy, no per-entry churn.
-  void OnSend(GroupData& data) override;
-  bool OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) override;
-  void TryDeliver() override { TryDeliverPending(); }
+  void Stamp(GroupData& data);
+  // Handler for the group's Data port: a single frame or a batch.
+  void OnData(MemberId src, const net::PayloadPtr& payload);
 
   // Allocates the per-sender sequence number for an outgoing ordered send.
   uint64_t AllocateSendSeq() { return ++send_seq_; }
@@ -72,7 +73,7 @@ class CausalLayer : public OrderingLayer {
   // View change: both delta-codec ends resynchronize on a keyframe (the
   // encoder's next frame carries the full clock; decoder references reset),
   // and the overlay path re-ingests frames stashed for the new view.
-  void OnViewChange(const View& view) override;
+  void OnViewChange(const View& view);
 
  private:
   struct PendingMessage {
@@ -100,6 +101,7 @@ class CausalLayer : public OrderingLayer {
   // on (DESIGN.md §11).
   void ForwardOnOverlay(const GroupDataPtr& data, MemberId from);
 
+  GroupCore* core_;
   uint64_t send_seq_ = 0;
   VectorClock vd_;  // contiguous causally-delivered count per sender
   std::deque<PendingMessage> pending_;

@@ -16,13 +16,12 @@
 
 namespace catocs {
 
-class FifoLayer : public OrderingLayer {
+class FifoLayer {
  public:
-  explicit FifoLayer(GroupCore* core) : OrderingLayer(core) { core->fifo = this; }
+  explicit FifoLayer(GroupCore* core) : core_(core) { core->fifo = this; }
 
-  const char* name() const override { return "fifo"; }
-
-  void TryDeliver() override { TryDeliverApp(); }
+  FifoLayer(const FifoLayer&) = delete;
+  FifoLayer& operator=(const FifoLayer&) = delete;
 
   // A causally delivered message enters the app gate.
   void Enqueue(const GroupDataPtr& data, sim::Duration causal_delay);
@@ -59,6 +58,7 @@ class FifoLayer : public OrderingLayer {
   bool AppDeliverable(const GroupData& data) const;
   void DeliverToApp(const GroupDataPtr& data, uint64_t total_seq, sim::Duration causal_delay);
 
+  GroupCore* core_;
   std::deque<AppPending> app_pending_;
   VectorClock ad_;  // app-delivered (or skipped) count per sender
 };

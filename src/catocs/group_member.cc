@@ -4,35 +4,28 @@
 #include <cassert>
 #include <utility>
 
-#include "src/catocs/causal_layer.h"
-#include "src/catocs/fifo_layer.h"
 #include "src/catocs/flow_control.h"
-#include "src/catocs/membership_layer.h"
 #include "src/catocs/sender_batch.h"
-#include "src/catocs/stability_layer.h"
-#include "src/catocs/total_order_layer.h"
 #include "src/mem/pool.h"
 
 namespace catocs {
 
-GroupMember::GroupMember(sim::Simulator* simulator, net::Transport* transport, GroupConfig config,
-                         MemberId self, std::vector<MemberId> members) {
-  core_.simulator = simulator;
-  core_.transport = transport;
-  core_.config = config;
-  core_.self = self;
-  core_.member = this;
-  core_.view.id = 1;
-  core_.view.members = std::move(members);
-  std::sort(core_.view.members.begin(), core_.view.members.end());
-  assert(std::find(core_.view.members.begin(), core_.view.members.end(), core_.self) !=
-         core_.view.members.end());
-
-  if (core_.config.observability) {
-    core_.tap.Enable(simulator, self, &core_.pipeline_stats, core_.config.provenance);
+GroupCore::GroupCore(sim::Simulator* simulator, net::Transport* transport, GroupConfig config,
+                     MemberId self, std::vector<MemberId> members, GroupMember* member)
+    : simulator(simulator), transport(transport), config(config), self(self), member(member) {
+  view.id = 1;
+  view.members = std::move(members);
+  std::sort(view.members.begin(), view.members.end());
+  assert(std::find(view.members.begin(), view.members.end(), self) != view.members.end());
+  if (config.observability) {
+    tap.Enable(simulator, self, &pipeline_stats, config.provenance);
   }
-  core_.RebuildOverlay();
-  pipeline_ = PipelineBuilder(&core_).AddDefaultStack().Build();
+  RebuildOverlay();
+}
+
+GroupMember::GroupMember(sim::Simulator* simulator, net::Transport* transport, GroupConfig config,
+                         MemberId self, std::vector<MemberId> members)
+    : core_(simulator, transport, config, self, std::move(members), this) {
   // No sender batching in overlay mode: coalescing happens per-link on the
   // tree (every forward is a single frame to O(1) neighbors already), and the
   // batcher's direct-broadcast flush would bypass the overlay entirely.
@@ -47,17 +40,28 @@ GroupMember::GroupMember(sim::Simulator* simulator, net::Transport* transport, G
     flow_ = std::make_unique<FlowController>(&core_);
   }
 
-  // One dispatcher per group port; the pipeline routes to whichever layer
-  // claims the port.
+  // Each group port goes straight to the layer that owns it.
   const GroupId g = core_.config.group_id;
-  auto dispatch = [this](MemberId src, uint32_t port, const net::PayloadPtr& p) {
-    pipeline_.Dispatch(src, port, p);
-  };
-  transport->RegisterReceiver(GroupPorts::Data(g), dispatch);
-  transport->RegisterReceiver(GroupPorts::Order(g), dispatch);
-  transport->RegisterReceiver(GroupPorts::Ack(g), dispatch);
-  transport->RegisterReceiver(GroupPorts::Token(g), dispatch);
-  transport->RegisterReceiver(GroupPorts::Membership(g), dispatch);
+  transport->RegisterReceiver(GroupPorts::Data(g),
+                              [this](MemberId src, uint32_t, const net::PayloadPtr& p) {
+                                causal_.OnData(src, p);
+                              });
+  transport->RegisterReceiver(GroupPorts::Order(g),
+                              [this](MemberId, uint32_t, const net::PayloadPtr& p) {
+                                total_.OnOrder(p);
+                              });
+  transport->RegisterReceiver(GroupPorts::Ack(g),
+                              [this](MemberId src, uint32_t, const net::PayloadPtr& p) {
+                                stability_.OnAck(src, p);
+                              });
+  transport->RegisterReceiver(GroupPorts::Token(g),
+                              [this](MemberId, uint32_t, const net::PayloadPtr& p) {
+                                total_.OnToken(p);
+                              });
+  transport->RegisterReceiver(GroupPorts::Membership(g),
+                              [this](MemberId src, uint32_t, const net::PayloadPtr& p) {
+                                membership_.OnMessage(src, p);
+                              });
 }
 
 GroupMember::~GroupMember() = default;
@@ -83,7 +87,7 @@ void GroupMember::SetStateApplier(StateApplier fn) {
 }
 
 void GroupMember::ReportFailure(MemberId suspect, bool deliberate) {
-  core_.membership->ReportFailure(suspect, deliberate);
+  membership_.ReportFailure(suspect, deliberate);
 }
 
 void GroupMember::Start() {
@@ -91,7 +95,10 @@ void GroupMember::Start() {
     return;
   }
   core_.started = true;
-  pipeline_.OnStart();
+  // Timer creation order: ack gossip, heartbeat, failure check, token seed.
+  stability_.Start();
+  membership_.Start();
+  total_.Start();
 }
 
 void GroupMember::Stop() {
@@ -103,11 +110,13 @@ void GroupMember::Stop() {
   if (flow_ != nullptr) {
     flow_->OnStop();
   }
-  pipeline_.OnStop();
+  stability_.Stop();
+  membership_.Stop();
+  total_.Stop();
   core_.started = false;
 }
 
-void GroupMember::JoinGroup(MemberId contact) { core_.membership->JoinGroup(contact); }
+void GroupMember::JoinGroup(MemberId contact) { membership_.JoinGroup(contact); }
 
 void GroupMember::DeclareDependency(const MessageId& dep) {
   // Without a recorder the declaration has no observer; skip the append so
@@ -148,8 +157,8 @@ SendResult GroupMember::SendInternal(OrderingMode mode, net::PayloadPtr payload,
       return SendResult{admission, MessageId{0, 0}};
     }
   }
-  if (core_.membership->flushing()) {
-    core_.membership->QueueBlockedSend(mode, std::move(payload));
+  if (membership_.flushing()) {
+    membership_.QueueBlockedSend(mode, std::move(payload));
     return SendResult{SendStatus::kQueuedBehindFlush, MessageId{0, 0}};
   }
   ++core_.stats.sent;
@@ -165,11 +174,11 @@ SendResult GroupMember::SendInternal(OrderingMode mode, net::PayloadPtr payload,
         core_.transport->SendUnreliable(member, GroupPorts::Data(core_.config.group_id), data);
       }
     }
-    core_.fifo->DeliverDirect(data);
+    fifo_.DeliverDirect(data);
     return SendResult{SendStatus::kSent, id};
   }
 
-  const uint64_t seq = core_.causal->AllocateSendSeq();
+  const uint64_t seq = causal_.AllocateSendSeq();
   MessageId id{core_.self, seq};
   // The declared dependencies now have a concrete dependent: feed the
   // semantic graph.
@@ -180,9 +189,10 @@ SendResult GroupMember::SendInternal(OrderingMode mode, net::PayloadPtr payload,
   auto data = mem::MakePooled<GroupData>(core_.config.group_id, id, mode, VectorClock{},
                                          std::move(payload), core_.simulator->now());
   core_.tap.Send(id, mode);
-  // Each layer stamps its own header section (vector timestamp, then
-  // acks/piggyback) before the message is shared with anyone.
-  pipeline_.OnSend(*data);
+  // Each layer stamps its own header section before the message is shared
+  // with anyone.
+  causal_.Stamp(*data);
+  stability_.Stamp(*data);
 
   // Self-delivery first (the send is a local event that advances the clock),
   // then fan out — immediately, or through the batcher, which also owns the
@@ -194,11 +204,11 @@ SendResult GroupMember::SendInternal(OrderingMode mode, net::PayloadPtr payload,
     // overlay link in causal delivery order (DESIGN.md §11) — the per-link
     // transmission and header charges happen there, one hop at a time.
     assert(mode != OrderingMode::kTotal && "overlay path orders causally only");
-    core_.causal->Ingest(shared, /*observe_acks=*/true, core_.self);
+    causal_.Ingest(shared, /*observe_acks=*/true, core_.self);
     core_.SyncTransportBudget();
     return SendResult{SendStatus::kSent, id};
   }
-  core_.causal->Ingest(shared);
+  causal_.Ingest(shared);
   if (batcher_ != nullptr) {
     batcher_->Append(shared);
     core_.SyncTransportBudget();
@@ -223,14 +233,12 @@ uint64_t GroupMember::send_credits() const {
 
 bool GroupMember::backpressured() const { return flow_ != nullptr && flow_->backpressured(); }
 
-bool GroupMember::flush_in_progress() const { return core_.membership->flushing(); }
-size_t GroupMember::delay_queue_length() const { return core_.causal->delay_queue_length(); }
-size_t GroupMember::buffered_messages() const { return core_.stability->buffered_messages(); }
-size_t GroupMember::buffered_bytes() const { return core_.stability->buffered_bytes(); }
-size_t GroupMember::peak_buffered_messages() const {
-  return core_.stability->peak_buffered_messages();
-}
-size_t GroupMember::peak_buffered_bytes() const { return core_.stability->peak_buffered_bytes(); }
-const CausalBufferStrategy& GroupMember::stability() const { return core_.stability->strategy(); }
+bool GroupMember::flush_in_progress() const { return membership_.flushing(); }
+size_t GroupMember::delay_queue_length() const { return causal_.delay_queue_length(); }
+size_t GroupMember::buffered_messages() const { return stability_.buffered_messages(); }
+size_t GroupMember::buffered_bytes() const { return stability_.buffered_bytes(); }
+size_t GroupMember::peak_buffered_messages() const { return stability_.peak_buffered_messages(); }
+size_t GroupMember::peak_buffered_bytes() const { return stability_.peak_buffered_bytes(); }
+const CausalBufferStrategy& GroupMember::stability() const { return stability_.strategy(); }
 
 }  // namespace catocs

@@ -19,11 +19,18 @@
 // Every cost the paper attributes to CATOCS (delay queues, buffering, header
 // bytes, blocked time during flush) is measured and exposed via stats().
 //
-// Since the pipeline refactor this class is a thin facade: the protocol
-// lives in the OrderingLayer stack (causal_layer.h, fifo_layer.h,
-// stability_layer.h, membership_layer.h, total_order_layer.h) assembled by
-// PipelineBuilder; the facade owns the shared GroupCore, wires transport
-// ports to the pipeline dispatcher, and preserves this public API.
+// This class is a thin facade: the protocol lives in five layers
+// (causal_layer.h, fifo_layer.h, stability_layer.h, membership_layer.h,
+// total_order_layer.h) that share one GroupCore (layer.h). The facade owns
+// the core and the layers and wires them directly:
+//   * each group port goes to the one layer that handles it: Data to
+//     causal, Ack to stability, Membership to membership, Order and Token
+//     to total order;
+//   * Start and Stop run stability, membership, total order, in that order
+//     (the timer-creation order ack gossip, heartbeat, failure check, token
+//     seed is part of deterministic replay);
+//   * an ordered send is stamped by causal (vector timestamp), then by
+//     stability (acks and piggyback).
 
 #ifndef REPRO_SRC_CATOCS_GROUP_MEMBER_H_
 #define REPRO_SRC_CATOCS_GROUP_MEMBER_H_
@@ -34,8 +41,12 @@
 #include <vector>
 
 #include "src/catocs/causal_buffer.h"
+#include "src/catocs/causal_layer.h"
+#include "src/catocs/fifo_layer.h"
+#include "src/catocs/membership_layer.h"
 #include "src/catocs/message.h"
-#include "src/catocs/pipeline.h"
+#include "src/catocs/stability_layer.h"
+#include "src/catocs/total_order_layer.h"
 #include "src/catocs/types.h"
 #include "src/net/transport.h"
 #include "src/sim/simulator.h"
@@ -158,8 +169,14 @@ class GroupMember {
  private:
   SendResult SendInternal(OrderingMode mode, net::PayloadPtr payload, bool admission_exempt);
 
+  // Declared (so constructed) core first: StabilityLayer's constructor
+  // reads the core's tap and overlay.
   GroupCore core_;
-  Pipeline pipeline_;
+  CausalLayer causal_{&core_};
+  FifoLayer fifo_{&core_};
+  StabilityLayer stability_{&core_};
+  MembershipLayer membership_{&core_};
+  TotalOrderLayer total_{&core_};
   // Present only when config.batching > 1 (see sender_batch.h); the
   // unbatched send path is untouched.
   std::unique_ptr<SenderBatcher> batcher_;

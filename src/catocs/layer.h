@@ -1,19 +1,15 @@
-// The composable protocol pipeline's building blocks.
+// What the five ordering layers share.
 //
 // Each CATOCS concern — causal delay queue, per-sender FIFO app gate, total
 // ordering, stability buffering, view-synchronous membership — lives in its
-// own OrderingLayer. Layers share one GroupCore (identity, view, config,
-// stats, handlers) and reach each other through the core's typed pointers:
-// the delivery cascade is a series of direct, synchronous calls in protocol
-// order (causal -> stability -> total -> fifo -> application), exactly the
-// call graph the monolithic GroupMember had, so behaviour is preserved
-// bit-for-bit while each stage stays independently replaceable.
-//
-// The uniform hooks (OnStart/OnStop/OnSend/OnReceive/TryDeliver/OnViewChange)
-// are what the Pipeline drives generically; protocol-specific cross-layer
-// calls (e.g. the causal layer handing a delivery to the stability layer) go
-// through the typed pointers because their ordering is part of the protocol,
-// not of the stacking.
+// own plain class (causal_layer.h, fifo_layer.h, total_order_layer.h,
+// stability_layer.h, membership_layer.h) holding a GroupCore*. The core
+// carries identity, view, config, stats and handlers, plus typed pointers to
+// every layer. All cross-layer calls go through those pointers in explicit
+// protocol order: the delivery cascade (causal -> stability -> total ->
+// fifo -> application) and the view install the membership layer runs.
+// GroupMember owns the layers, wires each group port to the one layer that
+// handles it, and calls start, stamp and stop in order (group_member.h).
 
 #ifndef REPRO_SRC_CATOCS_LAYER_H_
 #define REPRO_SRC_CATOCS_LAYER_H_
@@ -49,10 +45,18 @@ struct GroupPorts {
   static uint32_t Membership(GroupId g) { return 0x0C000004u + g * 8; }
 };
 
-// State and services shared by every layer of one member's pipeline. Owned
-// by the GroupMember facade; layers hold a pointer and register themselves
-// in their constructors.
+// State and services shared by every layer of one member. Owned by the
+// GroupMember facade; layers hold a pointer and register themselves in their
+// constructors.
 struct GroupCore {
+  // Sets identity and the founding view, enables the tap (under
+  // config.observability) and builds the founding overlay — everything a
+  // layer constructor may read, so it runs before any layer exists.
+  GroupCore(sim::Simulator* simulator, net::Transport* transport, GroupConfig config,
+            MemberId self, std::vector<MemberId> members, GroupMember* member);
+  GroupCore(const GroupCore&) = delete;
+  GroupCore& operator=(const GroupCore&) = delete;
+
   sim::Simulator* simulator = nullptr;
   net::Transport* transport = nullptr;
   GroupConfig config;
@@ -139,45 +143,6 @@ struct GroupCore {
                  transport->queued_segments());
     }
   }
-};
-
-class OrderingLayer {
- public:
-  explicit OrderingLayer(GroupCore* core) : core_(core) {}
-  virtual ~OrderingLayer() = default;
-
-  OrderingLayer(const OrderingLayer&) = delete;
-  OrderingLayer& operator=(const OrderingLayer&) = delete;
-
-  virtual const char* name() const = 0;
-
-  // Background machinery (timers, token seeding). Called in stack order.
-  virtual void OnStart() {}
-  virtual void OnStop() {}
-
-  // Stamp an outgoing ordered message's headers before first transmission.
-  // Called in stack order; each layer owns a disjoint header section.
-  virtual void OnSend(GroupData& data) { (void)data; }
-
-  // Offer an incoming transport payload. Returns true when this layer owns
-  // the port and consumed the message.
-  virtual bool OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) {
-    (void)src;
-    (void)port;
-    (void)payload;
-    return false;
-  }
-
-  // Re-attempt any deliveries this layer is holding back.
-  virtual void TryDeliver() {}
-
-  // A new view was installed. The membership layer drives the full
-  // view-install sequence itself (its steps interleave with its own state);
-  // this hook is each layer's reaction once the new view is in place.
-  virtual void OnViewChange(const View& view) { (void)view; }
-
- protected:
-  GroupCore* core_;
 };
 
 }  // namespace catocs

@@ -29,7 +29,7 @@ void FlushPendingBatch(GroupCore* core) {
 
 }  // namespace
 
-void MembershipLayer::OnStart() {
+void MembershipLayer::Start() {
   if (core_->config.enable_membership) {
     heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
         core_->simulator, core_->config.heartbeat_interval, [this] { SendHeartbeats(); });
@@ -40,7 +40,7 @@ void MembershipLayer::OnStart() {
   }
 }
 
-void MembershipLayer::OnStop() {
+void MembershipLayer::Stop() {
   if (heartbeat_timer_) {
     heartbeat_timer_->Stop();
   }
@@ -49,47 +49,42 @@ void MembershipLayer::OnStop() {
   }
 }
 
-bool MembershipLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) {
-  if (port != GroupPorts::Membership(core_->config.group_id)) {
-    return false;
-  }
+void MembershipLayer::OnMessage(MemberId src, const net::PayloadPtr& payload) {
   if (const auto* hb = net::PayloadCast<Heartbeat>(payload)) {
     if (hb->group() == core_->config.group_id) {
       last_heard_[src] = core_->simulator->now();
     }
-    return true;
+    return;
   }
   if (const auto* join = net::PayloadCast<JoinRequest>(payload)) {
     if (join->group() == core_->config.group_id) {
       OnJoinRequest(*join);
     }
-    return true;
+    return;
   }
   if (const auto* suspect = net::PayloadCast<SuspectNotice>(payload)) {
     if (suspect->group() == core_->config.group_id) {
       HandleSuspicion(suspect->suspect());
     }
-    return true;
+    return;
   }
   if (const auto* req = net::PayloadCast<FlushRequest>(payload)) {
     if (req->group() == core_->config.group_id) {
       OnFlushRequest(src, *req);
     }
-    return true;
+    return;
   }
   if (const auto* state = net::PayloadCast<FlushState>(payload)) {
     if (state->group() == core_->config.group_id) {
       OnFlushState(src, *state);
     }
-    return true;
+    return;
   }
   if (const auto* install = net::PayloadCast<ViewInstall>(payload)) {
     if (install->group() == core_->config.group_id) {
       OnViewInstall(*install);
     }
-    return true;
   }
-  return true;
 }
 
 void MembershipLayer::JoinGroup(MemberId contact) {
@@ -523,7 +518,7 @@ void MembershipLayer::OnViewInstall(const ViewInstall& install) {
   flush_states_.clear();
 
   // The total-order layer re-seeds its sequencer/token for the new view.
-  core_->total->OnViewChange(core_->view);
+  core_->total->OnViewChange();
   core_->fifo->TryDeliverApp();
 
   // Unblock.

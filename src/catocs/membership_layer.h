@@ -24,15 +24,19 @@
 
 namespace catocs {
 
-class MembershipLayer : public OrderingLayer {
+class MembershipLayer {
  public:
-  explicit MembershipLayer(GroupCore* core) : OrderingLayer(core) { core->membership = this; }
+  explicit MembershipLayer(GroupCore* core) : core_(core) { core->membership = this; }
 
-  const char* name() const override { return "membership"; }
+  MembershipLayer(const MembershipLayer&) = delete;
+  MembershipLayer& operator=(const MembershipLayer&) = delete;
 
-  void OnStart() override;
-  void OnStop() override;
-  bool OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) override;
+  // Starts and stops the heartbeat and failure-check timers (only under
+  // config.enable_membership).
+  void Start();
+  void Stop();
+  // Handler for the group's Membership port.
+  void OnMessage(MemberId src, const net::PayloadPtr& payload);
 
   // Facade entry points (see GroupMember for the contracts). A deliberate
   // report is a policy decision about a possibly-alive member (the
@@ -59,6 +63,7 @@ class MembershipLayer : public OrderingLayer {
   void SendFlushStateTo(MemberId coordinator, uint64_t new_view_id);
   void FinishBlockedSends();
 
+  GroupCore* core_;
   std::unique_ptr<sim::PeriodicTimer> heartbeat_timer_;
   std::unique_ptr<sim::PeriodicTimer> failure_check_timer_;
   std::map<MemberId, sim::TimePoint> last_heard_;

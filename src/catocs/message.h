@@ -87,8 +87,8 @@ class GroupData : public net::Payload {
   sim::TimePoint sent_at() const { return sent_at_; }
 
   // Vector timestamp, stamped by the causal layer before first transmission
-  // (the facade constructs ordered messages with an empty clock and runs the
-  // pipeline's OnSend chain over them).
+  // (the facade constructs ordered messages with an empty clock and has the
+  // causal and stability layers stamp them).
   void set_vt(VectorClock vt) { vt_ = std::move(vt); }
 
   // Ack vector (the sender's delivered-vector) piggybacked for stability

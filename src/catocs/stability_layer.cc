@@ -13,7 +13,7 @@
 namespace catocs {
 
 StabilityLayer::StabilityLayer(GroupCore* core)
-    : OrderingLayer(core), strategy_(MakeCausalBuffer(core->config.causal_buffer)) {
+    : core_(core), strategy_(MakeCausalBuffer(core->config.causal_buffer)) {
   core->stability = this;
   if (core->config.budget.bounded()) {
     strategy_->SetBudget(&core->budget);
@@ -23,8 +23,8 @@ StabilityLayer::StabilityLayer(GroupCore* core)
   }
   strategy_->SetMembers(core->view.members);
   if (overlay_strategy_ != nullptr) {
-    // The founding view's tree is already built (the facade rebuilds the
-    // overlay before assembling the pipeline); later rewires come through
+    // The founding view's tree is already built (GroupCore's constructor
+    // builds it before any layer exists); later rewires come through
     // OnViewChange.
     overlay_strategy_->SetReportSet(core->self, core->overlay.children());
   }
@@ -33,7 +33,7 @@ StabilityLayer::StabilityLayer(GroupCore* core)
   }
 }
 
-void StabilityLayer::OnStart() {
+void StabilityLayer::Start() {
   if (core_->config.ack_gossip_interval > sim::Duration::Zero()) {
     gossip_timer_ = std::make_unique<sim::PeriodicTimer>(
         core_->simulator, core_->config.ack_gossip_interval, [this] { GossipAcks(); });
@@ -41,17 +41,17 @@ void StabilityLayer::OnStart() {
   }
 }
 
-void StabilityLayer::OnStop() {
+void StabilityLayer::Stop() {
   if (gossip_timer_) {
     gossip_timer_->Stop();
   }
 }
 
-void StabilityLayer::OnSend(GroupData& data) {
+void StabilityLayer::Stamp(GroupData& data) {
   // Overlay mode: no piggybacked ack vectors — a per-message delivered-vector
   // is exactly the O(N) header the constant-metadata path forbids. Stability
   // evidence travels on the tree floor frames instead.
-  if (core_->config.piggyback_acks && !core_->overlay_mode()) {
+  if (!core_->overlay_mode()) {
     data.set_acks(core_->causal->delivered());
   }
   if (core_->config.piggyback_causal) {
@@ -66,23 +66,18 @@ void StabilityLayer::OnSend(GroupData& data) {
   }
 }
 
-bool StabilityLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) {
-  if (port != GroupPorts::Ack(core_->config.group_id)) {
-    return false;
-  }
+void StabilityLayer::OnAck(MemberId src, const net::PayloadPtr& payload) {
   if (const auto* floor = net::PayloadCast<StabilityFloor>(payload)) {
     if (floor->group() == core_->config.group_id) {
       OnStabilityFloor(src, *floor);
     }
-    return true;
+    return;
   }
   const auto* acks = net::PayloadCast<AckVector>(payload);
   assert(acks != nullptr);
-  if (acks->group() != core_->config.group_id) {
-    return true;
+  if (acks->group() == core_->config.group_id) {
+    ObserveAckVector(src, acks->delivered());
   }
-  ObserveAckVector(src, acks->delivered());
-  return true;
 }
 
 void StabilityLayer::OnStabilityFloor(MemberId src, const StabilityFloor& frame) {

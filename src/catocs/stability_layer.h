@@ -18,20 +18,25 @@ namespace catocs {
 
 class OverlayCausalStrategy;
 
-class StabilityLayer : public OrderingLayer {
+class StabilityLayer {
  public:
+  // Reads core->overlay and core->tap: both must be set up first.
   explicit StabilityLayer(GroupCore* core);
 
-  const char* name() const override { return "stability"; }
+  StabilityLayer(const StabilityLayer&) = delete;
+  StabilityLayer& operator=(const StabilityLayer&) = delete;
 
-  void OnStart() override;
-  void OnStop() override;
+  // Starts and stops the ack-gossip timer.
+  void Start();
+  void Stop();
   // Stamps the piggybacked ack vector and, under the footnote-4 variant, the
   // unstable causal predecessors.
-  void OnSend(GroupData& data) override;
-  bool OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) override;
+  void Stamp(GroupData& data);
+  // Handler for the group's Ack port: gossiped ack vectors and overlay
+  // stability floors.
+  void OnAck(MemberId src, const net::PayloadPtr& payload);
   // New member set: re-anchor the stability minimum and prune.
-  void OnViewChange(const View& view) override;
+  void OnViewChange(const View& view);
 
   // A message passed the causal gate: retain it (stripped of piggyback),
   // record our own delivery, and feed the strategy's evidence channel.
@@ -58,6 +63,7 @@ class StabilityLayer : public OrderingLayer {
   void GossipOverlayFloor();
   void OnStabilityFloor(MemberId src, const StabilityFloor& frame);
 
+  GroupCore* core_;
   std::unique_ptr<CausalBufferStrategy> strategy_;
   // Downcast view of strategy_ when the group runs the overlay path; null
   // otherwise, so non-overlay code never even branches past the pointer.

@@ -2,19 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
-#include <new>
 
 #include "src/catocs/fifo_layer.h"
 #include "src/mem/pool.h"
 
 namespace catocs {
 
-void TotalOrderLayer::OnStart() {
+namespace {
+
+// Delay before the token is passed on (models token processing).
+constexpr sim::Duration kTokenPassDelay = sim::Duration::Micros(200);
+
+}  // namespace
+
+void TotalOrderLayer::Start() {
   if (core_->config.total_order_mode == TotalOrderMode::kToken &&
       core_->self == core_->view.members.front()) {
     // Seed the token at the lowest member.
     holding_token_ = true;
-    core_->simulator->ScheduleAfter(core_->config.token_pass_delay, [this] {
+    core_->simulator->ScheduleAfter(kTokenPassDelay, [this] {
       if (holding_token_) {
         PassToken(next_total_assign_);
       }
@@ -33,19 +39,6 @@ void TotalOrderLayer::SyncBudget() {
   static constexpr size_t kPendingEntryBytes = 64;
   const size_t entries = order_by_seq_.size() + unassigned_total_.size();
   core_->budget.Set(ResourceBudget::kTotalPending, entries * kPendingEntryBytes, entries);
-}
-
-bool TotalOrderLayer::OnReceive(MemberId /*src*/, uint32_t port, const net::PayloadPtr& payload) {
-  const GroupId g = core_->config.group_id;
-  if (port == GroupPorts::Order(g)) {
-    OnOrder(payload);
-    return true;
-  }
-  if (port == GroupPorts::Token(g)) {
-    OnToken(payload);
-    return true;
-  }
-  return false;
 }
 
 void TotalOrderLayer::OnCausalDeliver(const GroupData& data) {
@@ -125,65 +118,53 @@ void TotalOrderLayer::OnOrder(const net::PayloadPtr& payload) {
 void TotalOrderLayer::ApplyAssignments(
     const std::vector<std::pair<MessageId, uint64_t>>& assignments) {
   const bool token_mode = core_->config.total_order_mode == TotalOrderMode::kToken;
-  // Newly accepted assignments are staged in arena scratch, then merged into
-  // the sorted window in one pass. The arena is reset before TryDeliverApp so
-  // no scratch pointer survives into (possibly re-entrant) delivery.
-  SeqAssignment* fresh = nullptr;
-  size_t fresh_count = 0;
-  if (token_mode && !assignments.empty()) {
-    fresh = static_cast<SeqAssignment*>(
-        scratch_.Allocate(assignments.size() * sizeof(SeqAssignment), alignof(SeqAssignment)));
-  }
+  // Newly accepted assignments are staged, then merged into the sorted window
+  // in one pass — both finished before TryDeliverApp, whose deliveries may
+  // re-enter this function.
+  fresh_.clear();
   for (const auto& [id, seq] : assignments) {
     if (seq_by_id_.emplace(id, seq).second) {
       core_->tap.Assigned(id, seq);
       order_by_seq_[seq] = id;
       if (token_mode) {
-        new (&fresh[fresh_count++]) SeqAssignment(seq, id);
+        fresh_.emplace_back(seq, id);
       }
     }
   }
-  if (fresh_count > 0) {
-    MergeRecentAssignments(fresh, fresh_count);
+  if (!fresh_.empty()) {
+    MergeRecentAssignments();
   }
-  scratch_.Reset();
   SyncBudget();
   core_->fifo->TryDeliverApp();
 }
 
-void TotalOrderLayer::MergeRecentAssignments(SeqAssignment* fresh, size_t n) {
+void TotalOrderLayer::MergeRecentAssignments() {
   // Incoming batches are usually already seq-ascending (a holder assigns
   // consecutively); consolidated-order adoption is not, so sort — cheap for
   // the tiny runs this sees.
-  std::sort(fresh, fresh + n);
-  const size_t old_count = recent_assignments_.size();
-  auto* merged = static_cast<SeqAssignment*>(
-      scratch_.Allocate((old_count + n) * sizeof(SeqAssignment), alignof(SeqAssignment)));
+  std::sort(fresh_.begin(), fresh_.end());
+  const std::vector<SeqAssignment>& old = recent_assignments_;
+  merged_.clear();
   // Two-pointer merge of the two seq-sorted runs; on a seq collision the
   // incoming entry wins (the overwrite semantics the old map had).
   size_t i = 0;
   size_t j = 0;
-  size_t out = 0;
-  while (i < old_count && j < n) {
-    if (recent_assignments_[i].first < fresh[j].first) {
-      new (&merged[out++]) SeqAssignment(recent_assignments_[i++]);
-    } else if (fresh[j].first < recent_assignments_[i].first) {
-      new (&merged[out++]) SeqAssignment(fresh[j++]);
+  while (i < old.size() && j < fresh_.size()) {
+    if (old[i].first < fresh_[j].first) {
+      merged_.push_back(old[i++]);
     } else {
-      new (&merged[out++]) SeqAssignment(fresh[j++]);
-      ++i;
+      if (!(fresh_[j].first < old[i].first)) {
+        ++i;
+      }
+      merged_.push_back(fresh_[j++]);
     }
   }
-  while (i < old_count) {
-    new (&merged[out++]) SeqAssignment(recent_assignments_[i++]);
-  }
-  while (j < n) {
-    new (&merged[out++]) SeqAssignment(fresh[j++]);
-  }
+  merged_.insert(merged_.end(), old.begin() + i, old.end());
+  merged_.insert(merged_.end(), fresh_.begin() + j, fresh_.end());
   // Trim the oldest seqs beyond the window, exactly as the map's
   // erase-from-begin loop did.
-  const size_t keep = std::min<size_t>(out, kTokenAssignmentWindow);
-  recent_assignments_.assign(merged + (out - keep), merged + out);
+  const size_t keep = std::min<size_t>(merged_.size(), kTokenAssignmentWindow);
+  recent_assignments_.assign(merged_.end() - keep, merged_.end());
 }
 
 void TotalOrderLayer::OnToken(const net::PayloadPtr& payload) {
@@ -221,7 +202,7 @@ void TotalOrderLayer::OnToken(const net::PayloadPtr& payload) {
     ApplyAssignments(batch);
   }
   SyncBudget();  // the drain alone shrinks unassigned_total_ even with an empty batch
-  core_->simulator->ScheduleAfter(core_->config.token_pass_delay, [this] {
+  core_->simulator->ScheduleAfter(kTokenPassDelay, [this] {
     if (holding_token_ && core_->started) {
       PassToken(next_total_assign_);
     }
@@ -252,7 +233,7 @@ void TotalOrderLayer::PassToken(uint64_t next_total_seq) {
                                                              next_total_seq, std::move(carried)));
 }
 
-void TotalOrderLayer::OnViewChange(const View& /*view*/) {
+void TotalOrderLayer::OnViewChange() {
   // The new sequencer orders any held messages that lost their assignment
   // with the old sequencer, in its local causal delivery order.
   if (core_->config.total_order_mode == TotalOrderMode::kSequencer && core_->IsSequencer()) {
@@ -268,7 +249,7 @@ void TotalOrderLayer::OnViewChange(const View& /*view*/) {
   if (core_->config.total_order_mode == TotalOrderMode::kToken && core_->IsSequencer() &&
       core_->started) {
     holding_token_ = true;
-    core_->simulator->ScheduleAfter(core_->config.token_pass_delay, [this] {
+    core_->simulator->ScheduleAfter(kTokenPassDelay, [this] {
       if (holding_token_ && core_->started) {
         PassToken(next_total_assign_);
       }

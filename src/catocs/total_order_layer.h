@@ -14,23 +14,26 @@
 #include <vector>
 
 #include "src/catocs/layer.h"
-#include "src/mem/arena.h"
 
 namespace catocs {
 
-class TotalOrderLayer : public OrderingLayer {
+class TotalOrderLayer {
  public:
-  explicit TotalOrderLayer(GroupCore* core) : OrderingLayer(core) { core->total = this; }
+  explicit TotalOrderLayer(GroupCore* core) : core_(core) { core->total = this; }
 
-  const char* name() const override { return "total-order"; }
+  TotalOrderLayer(const TotalOrderLayer&) = delete;
+  TotalOrderLayer& operator=(const TotalOrderLayer&) = delete;
 
-  void OnStart() override;
-  void OnStop() override { holding_token_ = false; }
-  bool OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& payload) override;
+  // Token mode: the lowest member seeds the token. Stop drops it.
+  void Start();
+  void Stop() { holding_token_ = false; }
+  // Handlers for the group's Order and Token ports.
+  void OnOrder(const net::PayloadPtr& payload);
+  void OnToken(const net::PayloadPtr& payload);
   // After a view install: the new sequencer orders any held messages that
   // lost their assignment with the old sequencer; in token mode the lowest
   // survivor re-seeds the token.
-  void OnViewChange(const View& view) override;
+  void OnViewChange();
 
   // Sequencing hook on the causal-delivery path: the sequencer assigns
   // immediately; token holders queue until their turn.
@@ -59,13 +62,12 @@ class TotalOrderLayer : public OrderingLayer {
   // but still unordered kTotal message, in local (causal) delivery order.
   std::vector<std::pair<MessageId, uint64_t>> AssignPendingUnorderedTotals();
   void ApplyAssignments(const std::vector<std::pair<MessageId, uint64_t>>& assignments);
-  void OnOrder(const net::PayloadPtr& payload);
-  void OnToken(const net::PayloadPtr& payload);
   void PassToken(uint64_t next_total_seq);
   // Reports pending-set occupancy (known-but-undelivered assignments plus
   // unsequenced totals) to the group budget. No-op when unbounded.
   void SyncBudget();
 
+  GroupCore* core_;
   uint64_t next_total_assign_ = 1;  // sequencer/token holder only
   uint64_t next_total_deliver_ = 1;
   std::map<uint64_t, MessageId> order_by_seq_;
@@ -79,11 +81,14 @@ class TotalOrderLayer : public OrderingLayer {
   // nothing but cache misses.
   static constexpr uint64_t kTokenAssignmentWindow = 512;
   using SeqAssignment = std::pair<uint64_t, MessageId>;
-  void MergeRecentAssignments(SeqAssignment* fresh, size_t n);
+  // Merges fresh_ into the window.
+  void MergeRecentAssignments();
   std::vector<SeqAssignment> recent_assignments_;  // sorted by seq ascending
-  // Scratch for the merge (and for staging accepted assignments); reset at
-  // the end of every ApplyAssignments, so lifetimes never escape the call.
-  mem::Arena scratch_;
+  // Scratch for one ApplyAssignments: the newly accepted assignments, and
+  // the merge output that becomes the next window. Reused across calls, and
+  // done with before delivery can re-enter ApplyAssignments.
+  std::vector<SeqAssignment> fresh_;
+  std::vector<SeqAssignment> merged_;
   // Token mode: causally delivered kTotal messages not yet sequenced, in
   // local causal delivery order (a linear extension of happens-before).
   std::deque<MessageId> unassigned_total_;

@@ -93,9 +93,9 @@ struct SendResult {
 struct GroupConfig {
   GroupId group_id = 1;
 
-  // Stability: piggyback the sender's delivered-vector on every data message,
-  // and/or gossip it periodically (Zero disables gossip).
-  bool piggyback_acks = true;
+  // Stability: the sender's delivered-vector rides on every data message
+  // (except in overlay mode) and is also gossiped periodically (Zero disables
+  // gossip).
   sim::Duration ack_gossip_interval = sim::Duration::Millis(50);
 
   // Footnote-4 causal variant: attach unstable causal predecessors to each
@@ -103,8 +103,6 @@ struct GroupConfig {
   bool piggyback_causal = false;
 
   TotalOrderMode total_order_mode = TotalOrderMode::kSequencer;
-  // Delay before the token is passed on (models token processing).
-  sim::Duration token_pass_delay = sim::Duration::Micros(200);
 
   // How often (in simulated time) a member recomputes stability and prunes
   // its retention buffer. Pruning walks the member matrix, so it is

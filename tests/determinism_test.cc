@@ -42,6 +42,51 @@ std::vector<std::string> RunGroupTraffic(uint64_t seed) {
   return transcript;
 }
 
+// Token-circulating total order with live membership and the hybrid
+// retention buffer, losing one member mid-run. This reaches what the static
+// scenario above never does: the creation order of every background timer
+// (ack gossip, heartbeat, failure check, token seed), failure detection, the
+// flush and view install, and token regeneration in the new view. The
+// gossip period equals the failure-check period and timeout so both timers
+// tick together, and their start order decides which acts first at the tick
+// that detects the crash.
+std::vector<std::string> RunTokenChurnTraffic(uint64_t seed) {
+  sim::Simulator s(seed);
+  catocs::FabricConfig cfg;
+  cfg.num_members = 6;
+  cfg.group.total_order_mode = catocs::TotalOrderMode::kToken;
+  cfg.group.enable_membership = true;
+  cfg.group.causal_buffer = catocs::CausalBufferKind::kHybrid;
+  cfg.group.ack_gossip_interval = sim::Duration::Millis(50);
+  cfg.group.heartbeat_interval = sim::Duration::Millis(50);
+  cfg.group.failure_timeout = sim::Duration::Millis(50);
+  catocs::GroupFabric fabric(&s, cfg);
+  fabric.RecordDeliveries();
+  fabric.StartAll();
+  for (int k = 0; k < 60; ++k) {
+    const auto when = sim::Duration::Millis(static_cast<int64_t>(1 + s.rng().NextBelow(400)));
+    const size_t member = k % 6;
+    s.ScheduleAfter(when, [&fabric, member, k] {
+      fabric.member(member).Send(k % 2 == 0 ? catocs::OrderingMode::kTotal
+                                            : catocs::OrderingMode::kCausal,
+                                 std::make_shared<net::BlobPayload>("t" + std::to_string(k), 64));
+    });
+  }
+  s.ScheduleAfter(sim::Duration::Millis(150), [&fabric] { fabric.CrashMember(2); });
+  s.RunFor(sim::Duration::Seconds(10));
+  std::vector<std::string> transcript;
+  for (const auto& record : fabric.records()) {
+    transcript.push_back(std::to_string(record.at) + ":" + record.delivery.id().ToString() + "#" +
+                         std::to_string(record.delivery.total_seq) + "@" +
+                         std::to_string(record.delivery.delivered_at.nanos()));
+  }
+  for (size_t i = 0; i < fabric.size(); ++i) {
+    transcript.push_back("view@" + std::to_string(i) + "=" +
+                         std::to_string(fabric.member(i).view().id));
+  }
+  return transcript;
+}
+
 uint64_t Fnv1a(uint64_t hash, const std::string& s) {
   for (unsigned char c : s) {
     hash ^= c;
@@ -73,6 +118,7 @@ TEST(DeterminismTest, GroupTrafficIsExactlyReproducible) {
 TEST(DeterminismTest, TraceHashMatchesGolden) {
   EXPECT_EQ(TraceHash(RunGroupTraffic(12345)), 601440888793534087ull);
   EXPECT_EQ(TraceHash(RunGroupTraffic(999)), 12391433873660651454ull);
+  EXPECT_EQ(TraceHash(RunTokenChurnTraffic(12345)), 15753945183993046192ull);
 }
 
 TEST(DeterminismTest, DifferentSeedsDiverge) {

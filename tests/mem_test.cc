@@ -1,7 +1,7 @@
-// Raw-speed allocation primitives: the size-class pool, the bump arena, and
-// the inline event closure. The pool is process-global, so every stats
-// assertion works in deltas; pooled behaviour is skipped in passthrough mode
-// (ASan or REPRO_MEM_PASSTHROUGH=1) where every call is operator new.
+// Raw-speed allocation primitives: the size-class pool and the inline event
+// closure. The pool is process-global, so every stats assertion works in
+// deltas; pooled behaviour is skipped in passthrough mode (ASan or
+// REPRO_MEM_PASSTHROUGH=1) where every call is operator new.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/mem/arena.h"
 #include "src/mem/pool.h"
 #include "src/sim/inline_fn.h"
 
@@ -78,54 +77,6 @@ TEST(PoolTest, MakePooledBehavesLikeMakeShared) {
   std::weak_ptr<Payload> w = p;
   p.reset();
   EXPECT_TRUE(w.expired());
-}
-
-TEST(ArenaTest, BumpAllocatesAndResetsWithoutReleasingChunks) {
-  Arena arena(256);
-  uint64_t* a = arena.New<uint64_t>(11);
-  uint64_t* b = arena.New<uint64_t>(22);
-  EXPECT_EQ(*a, 11u);
-  EXPECT_EQ(*b, 22u);
-  EXPECT_EQ(reinterpret_cast<char*>(b) - reinterpret_cast<char*>(a),
-            static_cast<ptrdiff_t>(sizeof(uint64_t)))
-      << "consecutive same-type allocations are a pure bump";
-  EXPECT_EQ(arena.chunk_count(), 1u);
-
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  uint64_t* c = arena.New<uint64_t>(33);
-  EXPECT_EQ(c, a) << "Reset rewinds to the first chunk; no new system allocation";
-  EXPECT_EQ(arena.chunk_count(), 1u);
-}
-
-TEST(ArenaTest, GrowsByChunksAndReachesSteadyState) {
-  Arena arena(128);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 64; ++i) {
-      arena.New<uint64_t>(static_cast<uint64_t>(i));
-    }
-    arena.Reset();
-  }
-  const size_t high_water = arena.chunk_count();
-  EXPECT_GE(high_water, 4u) << "64 x 8 bytes cannot fit one 128-byte chunk";
-  for (int i = 0; i < 64; ++i) {
-    arena.New<uint64_t>(static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(arena.chunk_count(), high_water) << "steady state: chunks are reused, not grown";
-}
-
-TEST(ArenaTest, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(64);
-  void* p = arena.Allocate(1000);
-  ASSERT_NE(p, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 1000u);
-}
-
-TEST(ArenaTest, RespectsAlignment) {
-  Arena arena;
-  arena.Allocate(1, 1);
-  void* p = arena.Allocate(16, 16);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u);
 }
 
 TEST(InlineFnTest, SmallClosureStaysInline) {
