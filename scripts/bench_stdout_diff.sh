@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Byte-identity check between two builds: runs every experiment binary whose
 # default stdout is deterministic, the quickstart example, and the chaos
-# fuzzer (50 seeds, plain and with --trace, --batch 4, --buffer hybrid and
-# --buffer overlay) in both build directories, then diffs each run's stdout
+# fuzzer (50 seeds, plain and with --trace, --batch 4, --buffer hybrid,
+# --buffer overlay, --probe, and --overload under each of the three
+# overload policies) in both build directories, then diffs each run's stdout
 # and exit status.
 #
 #   scripts/bench_stdout_diff.sh PARENT_BUILD CHANGE_BUILD
@@ -42,6 +43,10 @@ runs+=(
   "bench/fuzz_chaos --seeds 50 --batch 4"
   "bench/fuzz_chaos --seeds 50 --buffer hybrid"
   "bench/fuzz_chaos --seeds 50 --buffer overlay"
+  "bench/fuzz_chaos --seeds 50 --probe"
+  "bench/fuzz_chaos --seeds 50 --overload --policy throttle"
+  "bench/fuzz_chaos --seeds 50 --overload --policy shed-new"
+  "bench/fuzz_chaos --seeds 50 --overload --policy evict-laggard"
 )
 
 out=$(mktemp -d)

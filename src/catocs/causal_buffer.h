@@ -30,8 +30,6 @@ class CausalBufferStrategy {
  public:
   virtual ~CausalBufferStrategy() = default;
 
-  virtual const char* name() const = 0;
-
   // The member set over which the stability minimum is taken. Removing a
   // member (it failed) can only make more messages stable.
   virtual void SetMembers(const std::vector<MemberId>& members) = 0;

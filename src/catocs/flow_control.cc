@@ -9,7 +9,7 @@ namespace catocs {
 FlowController::FlowController(GroupCore* core) : core_(core) {
   core_->flow = this;
   retry_timer_ = std::make_unique<sim::PeriodicTimer>(
-      core_->simulator, core_->config.flow_retry_interval, [this] { RetryTick(); });
+      core_->simulator, kFlowRetryInterval, [this] { RetryTick(); });
 }
 
 FlowController::~FlowController() = default;
@@ -40,7 +40,7 @@ SendStatus FlowController::Admit() {
     waiting_ = true;
     last_laggard_ = 0;
     stalled_ticks_ = 0;
-    retry_timer_->Start(core_->config.flow_retry_interval);
+    retry_timer_->Start(kFlowRetryInterval);
   }
   return SendStatus::kBackpressured;
 }
@@ -89,7 +89,7 @@ void FlowController::RetryTick() {
         last_laggard_ = laggard;
         stalled_ticks_ = 1;
       }
-      if (stalled_ticks_ >= core_->config.laggard_patience) {
+      if (stalled_ticks_ >= kLaggardPatience) {
         // The same receiver has pinned the window shut for the whole patience
         // interval: shed it through the ordinary suspicion path, which frees
         // its retention at the resulting view change.

@@ -7,15 +7,9 @@ namespace catocs {
 void HybridBuffer::SetMembers(const std::vector<MemberId>& members) {
   members_ = members;
   std::sort(members_.begin(), members_.end());
-  // Forget progress reports from departed members so they no longer hold the
-  // minimum down; keep rows for everyone else (including non-member late
-  // reporters, which simply never count toward the floor).
-  delivered_by_.erase(std::remove_if(delivered_by_.begin(), delivered_by_.end(),
-                                     [this](const std::pair<MemberId, VectorClock>& row) {
-                                       return !std::binary_search(members_.begin(),
-                                                                  members_.end(), row.first);
-                                     }),
-                      delivered_by_.end());
+  // Late reports from non-members (evicted ids) may recreate rows later;
+  // those never count toward the floor.
+  EraseDepartedRows(delivered_by_, members_);
   reporting_ = 0;
   for (MemberId member : members_) {
     if (MatrixRowIfPresent(delivered_by_, member) != nullptr) {
@@ -95,17 +89,7 @@ uint64_t HybridBuffer::StableFloorFor(MemberId sender) const {
 }
 
 MemberId HybridBuffer::SlowestMemberFor(MemberId sender) const {
-  MemberId slowest = 0;
-  uint64_t lowest = UINT64_MAX;
-  for (MemberId member : members_) {
-    const VectorClock* row = MatrixRowIfPresent(delivered_by_, member);
-    const uint64_t delivered = row == nullptr ? 0 : row->Get(sender);
-    if (delivered < lowest) {
-      lowest = delivered;
-      slowest = member;
-    }
-  }
-  return slowest;
+  return SlowestInMatrix(delivered_by_, members_, sender);
 }
 
 void HybridBuffer::NoteRowRaise(MemberId sender, uint64_t old_value) {

@@ -32,8 +32,6 @@ namespace catocs {
 
 class HybridBuffer : public CausalBufferStrategy {
  public:
-  const char* name() const override { return "hybrid"; }
-
   void SetMembers(const std::vector<MemberId>& members) override;
   void UpdateMemberVector(MemberId member, const VectorClock& vec) override;
   void UpdateMemberEntry(MemberId member, MemberId sender, uint64_t count) override;

@@ -70,17 +70,7 @@ MemberId OverlayCausalStrategy::SlowestMemberFor(MemberId sender) const {
   // Only the local subtree is visible here; the slowest *reporter* is the
   // honest local answer (a laggard deeper down surfaces as its subtree
   // root's report, which is the link this member could act on).
-  MemberId slowest = 0;
-  uint64_t lowest = UINT64_MAX;
-  for (MemberId member : report_set_) {
-    const VectorClock* row = MatrixRowIfPresent(reports_, member);
-    const uint64_t delivered = row == nullptr ? 0 : row->Get(sender);
-    if (delivered < lowest) {
-      lowest = delivered;
-      slowest = member;
-    }
-  }
-  return slowest;
+  return SlowestInMatrix(reports_, report_set_, sender);
 }
 
 bool OverlayCausalStrategy::AdoptFloor(const VectorClock& announced) {

@@ -36,8 +36,6 @@ namespace catocs {
 
 class OverlayCausalStrategy : public CausalBufferStrategy {
  public:
-  const char* name() const override { return "overlay"; }
-
   void SetMembers(const std::vector<MemberId>& members) override;
   void UpdateMemberVector(MemberId member, const VectorClock& vec) override;
   void UpdateMemberEntry(MemberId member, MemberId sender, uint64_t count) override;

@@ -29,15 +29,10 @@ void ResourceBudget::Set(Component component, size_t bytes, size_t messages) {
 }
 
 double ResourceBudget::utilization() const {
-  double util = 0.0;
-  if (config_.max_bytes != 0) {
-    util = static_cast<double>(total_bytes_) / static_cast<double>(config_.max_bytes);
+  if (config_.max_bytes == 0) {
+    return 0.0;
   }
-  if (config_.max_messages != 0) {
-    util = std::max(util, static_cast<double>(total_msgs_) /
-                              static_cast<double>(config_.max_messages));
-  }
-  return util;
+  return static_cast<double>(total_bytes_) / static_cast<double>(config_.max_bytes);
 }
 
 void ResourceBudget::Reassess() {
@@ -49,21 +44,21 @@ void ResourceBudget::Reassess() {
   // up. The epoch ends (and the level resets) only once utilization drains
   // below the low watermark — that hysteresis is what makes "pressure is
   // monotone within an epoch" a checkable oracle invariant.
-  if (util >= config_.critical_watermark) {
+  if (util >= kCriticalWatermark) {
     if (level_ != MemoryPressure::kCritical) {
       level_ = MemoryPressure::kCritical;
       if (sink_ != nullptr) {
         ++sink_->pressure_critical;
       }
     }
-  } else if (util >= config_.high_watermark) {
+  } else if (util >= kHighWatermark) {
     if (level_ == MemoryPressure::kNone) {
       level_ = MemoryPressure::kHigh;
       if (sink_ != nullptr) {
         ++sink_->pressure_high;
       }
     }
-  } else if (util < config_.low_watermark && level_ != MemoryPressure::kNone) {
+  } else if (util < kLowWatermark && level_ != MemoryPressure::kNone) {
     level_ = MemoryPressure::kNone;
     ++epoch_;
     if (sink_ != nullptr) {

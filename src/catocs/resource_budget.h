@@ -10,7 +10,7 @@
 // hysteresis) drives the flow-control and overload policies in
 // flow_control.h.
 //
-// All limits default to zero (unbounded): an unconfigured budget is never
+// The byte cap defaults to zero (unbounded): an unconfigured budget is never
 // charged, so the default pipeline stays byte-identical. Charging uses
 // absolute occupancy reports (Set) rather than paired charge/release deltas,
 // so a component can never leak the ledger out of sync with its own books.
@@ -40,19 +40,18 @@ enum class MemoryPressure : uint8_t {
 const char* ToString(MemoryPressure level);
 
 struct BudgetConfig {
-  // Hard caps on total retained bytes / messages across all charged
-  // components. 0 disables that axis; both zero = unbounded (the default),
-  // in which case nothing is ever charged.
+  // Hard cap on total retained bytes across all charged components. 0 =
+  // unbounded (the default), in which case nothing is ever charged.
   size_t max_bytes = 0;
-  size_t max_messages = 0;
-  // Watermarks as fractions of the tighter cap. Pressure escalates at high /
-  // critical and resets (ending the epoch) only below low.
-  double high_watermark = 0.70;
-  double critical_watermark = 0.90;
-  double low_watermark = 0.50;
 
-  bool bounded() const { return max_bytes != 0 || max_messages != 0; }
+  bool bounded() const { return max_bytes != 0; }
 };
+
+// Watermarks as fractions of the byte cap. Pressure escalates at high /
+// critical and resets (ending the epoch) only below low.
+inline constexpr double kHighWatermark = 0.70;
+inline constexpr double kCriticalWatermark = 0.90;
+inline constexpr double kLowWatermark = 0.50;
 
 class ResourceBudget {
  public:
@@ -81,17 +80,10 @@ class ResourceBudget {
   size_t used_bytes() const { return total_bytes_; }
   size_t used_messages() const { return total_msgs_; }
   size_t component_bytes(Component c) const { return bytes_[c]; }
-  size_t component_messages(Component c) const { return msgs_[c]; }
   size_t peak_bytes() const { return peak_bytes_; }
   size_t peak_messages() const { return peak_msgs_; }
 
-  // Would an additional message of `bytes` exceed a configured cap?
-  bool WouldExceed(size_t bytes, size_t messages) const {
-    return (config_.max_bytes != 0 && total_bytes_ + bytes > config_.max_bytes) ||
-           (config_.max_messages != 0 && total_msgs_ + messages > config_.max_messages);
-  }
-
-  // Utilization of the tighter axis, in [0, +inf); 0 when unbounded.
+  // Retained bytes over the cap, in [0, +inf); 0 when unbounded.
   double utilization() const;
 
   MemoryPressure pressure() const { return level_; }

@@ -30,7 +30,7 @@ void SenderBatcher::Append(const GroupDataPtr& data) {
 }
 
 void SenderBatcher::ArmTimer() {
-  flush_timer_ = core_->simulator->ScheduleAfter(core_->config.batch_flush_delay, [this] {
+  flush_timer_ = core_->simulator->ScheduleAfter(kBatchFlushDelay, [this] {
     flush_timer_ = sim::EventId{};
     FlushNow();
   });

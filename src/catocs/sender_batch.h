@@ -7,7 +7,7 @@
 //
 // Flush triggers, in priority order:
 //   * the batch reaches config.batching constituents (size flush);
-//   * config.batch_flush_delay elapses after the first pending constituent
+//   * kBatchFlushDelay elapses after the first pending constituent
 //     (timer flush, so a quiet sender never strands a partial batch);
 //   * the membership layer is about to block the group for a flush
 //     (FlushNow, called at every flushing_ transition) — a batch is

@@ -21,6 +21,30 @@ const VectorClock* MatrixRowIfPresent(const MemberMatrix& matrix, MemberId membe
   return it != matrix.end() && it->first == member ? &it->second : nullptr;
 }
 
+MemberId SlowestInMatrix(const MemberMatrix& matrix, const std::vector<MemberId>& members,
+                         MemberId sender) {
+  MemberId slowest = 0;
+  uint64_t lowest = UINT64_MAX;
+  for (MemberId member : members) {
+    const VectorClock* row = MatrixRowIfPresent(matrix, member);
+    const uint64_t delivered = row == nullptr ? 0 : row->Get(sender);
+    if (delivered < lowest) {
+      lowest = delivered;
+      slowest = member;
+    }
+  }
+  return slowest;
+}
+
+void EraseDepartedRows(MemberMatrix& matrix, const std::vector<MemberId>& members) {
+  matrix.erase(std::remove_if(matrix.begin(), matrix.end(),
+                              [&members](const std::pair<MemberId, VectorClock>& row) {
+                                return !std::binary_search(members.begin(), members.end(),
+                                                           row.first);
+                              }),
+               matrix.end());
+}
+
 VectorClock& MatrixRowCached(MemberMatrix& matrix, MemberId member, size_t& cache,
                              bool* created) {
   if (cache < matrix.size() && matrix[cache].first == member) {
@@ -46,14 +70,7 @@ VectorClock& MatrixRowCached(MemberMatrix& matrix, MemberId member, size_t& cach
 void StabilityTracker::SetMembers(const std::vector<MemberId>& members) {
   members_ = members;
   std::sort(members_.begin(), members_.end());
-  // Forget progress reports from departed members so they no longer hold the
-  // minimum down.
-  delivered_by_.erase(std::remove_if(delivered_by_.begin(), delivered_by_.end(),
-                                     [this](const std::pair<MemberId, VectorClock>& row) {
-                                       return !std::binary_search(members_.begin(),
-                                                                  members_.end(), row.first);
-                                     }),
-                      delivered_by_.end());
+  EraseDepartedRows(delivered_by_, members_);
   PurgeEvicted(members_);
 }
 
@@ -109,17 +126,7 @@ uint64_t StabilityTracker::StableFloorFor(MemberId sender) const {
 }
 
 MemberId StabilityTracker::SlowestMemberFor(MemberId sender) const {
-  MemberId slowest = 0;
-  uint64_t lowest = UINT64_MAX;
-  for (MemberId member : members_) {
-    const VectorClock* row = MatrixRowIfPresent(delivered_by_, member);
-    const uint64_t delivered = row == nullptr ? 0 : row->Get(sender);
-    if (delivered < lowest) {
-      lowest = delivered;
-      slowest = member;
-    }
-  }
-  return slowest;
+  return SlowestInMatrix(delivered_by_, members_, sender);
 }
 
 }  // namespace catocs

@@ -34,6 +34,14 @@ using MemberMatrix = std::vector<std::pair<MemberId, VectorClock>>;
 VectorClock& MatrixRow(MemberMatrix& matrix, MemberId member);
 // The member's row, or nullptr if it has never reported.
 const VectorClock* MatrixRowIfPresent(const MemberMatrix& matrix, MemberId member);
+// The member of `members` whose row reports the fewest deliveries from
+// `sender` (an unreported member counts as 0; the first in order wins ties;
+// 0 when `members` is empty).
+MemberId SlowestInMatrix(const MemberMatrix& matrix, const std::vector<MemberId>& members,
+                         MemberId sender);
+// Erases the rows of members absent from the sorted `members`, so departed
+// members no longer hold the stability minimum down.
+void EraseDepartedRows(MemberMatrix& matrix, const std::vector<MemberId>& members);
 // MatrixRow with a caller-held index cache. The per-delivery update always
 // touches our own row, so the cached slot hits nearly every time; rows shift
 // on insert/erase, so the slot is validated (member match) before use, never
@@ -43,8 +51,6 @@ VectorClock& MatrixRowCached(MemberMatrix& matrix, MemberId member, size_t& cach
 
 class StabilityTracker : public CausalBufferStrategy {
  public:
-  const char* name() const override { return "full-vector"; }
-
   void SetMembers(const std::vector<MemberId>& members) override;
   void UpdateMemberVector(MemberId member, const VectorClock& vec) override;
   void UpdateMemberEntry(MemberId member, MemberId sender, uint64_t count) override;

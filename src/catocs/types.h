@@ -51,7 +51,7 @@ enum class OverloadPolicy : uint8_t {
   // sends_shed). Old traffic drains; new traffic pays the overload cost.
   kShedNew,
   // Throttle, but if the same slowest receiver pins the window shut for
-  // laggard_patience consecutive retry ticks, hand it to the membership
+  // kLaggardPatience consecutive retry ticks, hand it to the membership
   // layer's suspicion path so the group sheds the laggard and frees its
   // retention.
   kEvictLaggard,
@@ -117,10 +117,9 @@ struct GroupConfig {
   // Sender-side batching: coalesce up to this many consecutive ordered sends
   // into one GroupBatch frame. 1 (the default) bypasses the batcher entirely
   // — the send path is byte-identical to the unbatched stack. A partial
-  // batch flushes after batch_flush_delay, and always before a membership
+  // batch flushes after kBatchFlushDelay, and always before a membership
   // flush blocks the group (a batch never spans a view change).
   uint32_t batching = 1;
-  sim::Duration batch_flush_delay = sim::Duration::Millis(1);
 
   // Delta-encode vector timestamps on the wire: each data frame carries only
   // the clock entries changed since the sender's previous frame (keyframes
@@ -164,17 +163,20 @@ struct GroupConfig {
 
   // What to do when admission is refused (window shut or budget critical).
   OverloadPolicy overload_policy = OverloadPolicy::kThrottle;
-
-  // Deterministic retry cadence while backpressured: each tick re-checks
-  // credits, refreshes the transport charge, and (under evict-laggard)
-  // advances the laggard clock.
-  sim::Duration flow_retry_interval = sim::Duration::Millis(5);
-
-  // Evict-laggard: consecutive retry ticks the same slowest receiver must
-  // pin the window shut before it is reported to membership. Generous enough
-  // to outlast startup ack propagation and ordinary stability lag.
-  uint32_t laggard_patience = 20;
 };
+
+// A partial sender batch flushes this long after its first constituent.
+inline constexpr sim::Duration kBatchFlushDelay = sim::Duration::Millis(1);
+
+// Deterministic retry cadence while backpressured: each tick re-checks
+// credits, refreshes the transport charge, and (under evict-laggard)
+// advances the laggard clock.
+inline constexpr sim::Duration kFlowRetryInterval = sim::Duration::Millis(5);
+
+// Evict-laggard: consecutive retry ticks the same slowest receiver must pin
+// the window shut before it is reported to membership. Generous enough to
+// outlast startup ack propagation and ordinary stability lag.
+inline constexpr uint32_t kLaggardPatience = 20;
 
 struct View {
   uint64_t id = 1;

@@ -48,10 +48,10 @@ void ChaosRig::WireIncarnation(size_t slot, Incarnation& inc) {
                                                  raw->member->stability().StableVector()});
     if (config_.group.budget.bounded()) {
       const catocs::ResourceBudget& budget = raw->member->budget();
-      budget_samples_.push_back(BudgetSample{
-          raw->id, simulator_->now(), budget.pressure_epoch(), budget.pressure(),
-          budget.used_bytes(), budget.used_messages(), config_.group.budget.max_bytes,
-          config_.group.budget.max_messages});
+      budget_samples_.push_back(BudgetSample{raw->id, simulator_->now(),
+                                             budget.pressure_epoch(), budget.pressure(),
+                                             budget.used_bytes(),
+                                             config_.group.budget.max_bytes});
     }
   });
   member->SetViewHandler([this, raw](const catocs::View& view) {
@@ -86,7 +86,7 @@ void ChaosRig::Start() {
   workload_running_ = true;
   for (size_t i = 0; i < slots_.size(); ++i) {
     slots_[i].workload = std::make_unique<sim::PeriodicTimer>(
-        simulator_, config_.workload_interval, [this, i] { WorkloadTick(i); });
+        simulator_, kWorkloadInterval, [this, i] { WorkloadTick(i); });
     // Staggered starts so slots never tick at the same instant.
     slots_[i].workload->Start(sim::Duration::Micros(700 * static_cast<int64_t>(i + 1)));
   }
@@ -116,7 +116,6 @@ void ChaosRig::WorkloadTick(size_t slot) {
     const uint64_t key = (static_cast<uint64_t>(inc.id) << 32) | counter;
     const auto mode = (!config_.causal_only && counter % 3 == 0) ? catocs::OrderingMode::kTotal
                                                                  : catocs::OrderingMode::kCausal;
-    ++sends_issued_;
     const catocs::SendResult result = inc.member->TrySend(
         mode, std::make_shared<ChaosUpdate>(key, counter, config_.payload_bytes));
     if (result.status == catocs::SendStatus::kBackpressured) {
@@ -134,7 +133,6 @@ catocs::MessageId ChaosRig::ProbeSend(size_t slot, catocs::OrderingMode mode) {
   Incarnation& inc = current(slot);
   const uint64_t counter = ++probe_counter_;
   const uint64_t key = (1ull << 63) | counter;
-  ++probe_sends_issued_;
   return inc.member->Send(mode,
                           std::make_shared<ChaosUpdate>(key, counter, config_.payload_bytes));
 }

@@ -36,17 +36,19 @@ struct ChaosRigConfig {
   sim::Duration latency_lo = sim::Duration::Millis(1);
   sim::Duration latency_hi = sim::Duration::Millis(5);
 
-  // Workload: every live slot multicasts a unique-key update each interval;
-  // every third send per slot is totally ordered, the rest causal. With
-  // workload_burst > 1 each tick issues that many back-to-back sends — the
-  // traffic shape that actually exercises sender-side batching.
-  sim::Duration workload_interval = sim::Duration::Millis(15);
+  // Workload: every live slot multicasts a unique-key update each
+  // kWorkloadInterval; every third send per slot is totally ordered, the
+  // rest causal. With workload_burst > 1 each tick issues that many
+  // back-to-back sends — the traffic shape that actually exercises
+  // sender-side batching.
   size_t payload_bytes = 64;
   size_t workload_burst = 1;
   // Keep every send causal (no total-order thirds). Forced on for the
   // overlay buffer, whose dissemination path orders causally only.
   bool causal_only = false;
 };
+
+inline constexpr sim::Duration kWorkloadInterval = sim::Duration::Millis(15);
 
 class ChaosRig {
  public:
@@ -90,7 +92,6 @@ class ChaosRig {
   using IncarnationHook = std::function<void(size_t, net::Transport&, catocs::GroupMember&)>;
   void SetIncarnationHook(IncarnationHook hook) { incarnation_hook_ = std::move(hook); }
   net::Transport& TransportOfSlot(size_t slot) { return *current(slot).transport; }
-  uint64_t probe_sends_issued() const { return probe_sends_issued_; }
 
   // --- observations (consumed by InvariantOracle) ---------------------------
   struct DeliveryRecord {
@@ -122,7 +123,7 @@ class ChaosRig {
   };
   // Budget ledger observed at `at` right after a delivery there (recorded
   // only when the group runs with a bounded budget). The oracle checks that
-  // usage never exceeds the configured caps and that the pressure level is
+  // usage never exceeds the configured cap and that the pressure level is
   // monotone within a pressure epoch.
   struct BudgetSample {
     catocs::MemberId at = 0;
@@ -130,9 +131,7 @@ class ChaosRig {
     uint64_t epoch = 0;
     catocs::MemoryPressure level = catocs::MemoryPressure::kNone;
     size_t used_bytes = 0;
-    size_t used_messages = 0;
     size_t max_bytes = 0;
-    size_t max_messages = 0;
   };
 
   const std::vector<DeliveryRecord>& deliveries() const { return deliveries_; }
@@ -140,7 +139,6 @@ class ChaosRig {
   const std::vector<StabilitySample>& stability_samples() const { return stability_samples_; }
   const std::vector<RecoveryStat>& recoveries() const { return recoveries_; }
   const std::vector<BudgetSample>& budget_samples() const { return budget_samples_; }
-  uint64_t sends_issued() const { return sends_issued_; }
   // Flow-control refusals seen by the workload (zero without flow control).
   uint64_t sends_backpressured() const { return sends_backpressured_; }
   uint64_t sends_shed() const { return sends_shed_; }
@@ -190,14 +188,12 @@ class ChaosRig {
   bool workload_running_ = false;
   IncarnationHook incarnation_hook_;
   uint64_t probe_counter_ = 0;
-  uint64_t probe_sends_issued_ = 0;
 
   std::vector<DeliveryRecord> deliveries_;
   std::vector<ViewRecord> views_;
   std::vector<StabilitySample> stability_samples_;
   std::vector<RecoveryStat> recoveries_;
   std::vector<BudgetSample> budget_samples_;
-  uint64_t sends_issued_ = 0;
   uint64_t sends_backpressured_ = 0;
   uint64_t sends_shed_ = 0;
   double overload_factor_ = 1.0;

@@ -105,13 +105,12 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
   const int64_t fault_hi = (horizon_ns * 6) / 10;
 
   // --- crash / recover cycles ------------------------------------------------
-  // Slot 0 never crashes. Crash windows are serialized (bounded concurrency
-  // via non-overlapping windows when max_concurrent_crashes == 1): the victim
-  // stays down long enough to be detected and evicted, then rejoins.
+  // Slot 0 never crashes. Crash windows are serialized (a window that
+  // overlaps an earlier one is redrawn): the victim stays down long enough to
+  // be detected and evicted, then rejoins.
   std::vector<std::pair<int64_t, int64_t>> crash_windows;
-  size_t cycles = 0;
   for (size_t slot = 1; slot < config_.num_slots; ++slot) {
-    if (!rng.NextBool(config_.crash_probability)) {
+    if (!rng.NextBool(kCrashProbability)) {
       continue;
     }
     const int64_t down_for =
@@ -121,13 +120,10 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
     for (int attempt = 0; attempt < 8 && !placed; ++attempt) {
       const int64_t start = rng.NextInRange(fault_lo, fault_hi);
       const int64_t end = start + down_for;
-      size_t overlapping = 0;
-      for (const auto& [ws, we] : crash_windows) {
-        if (start < we && ws < end) {
-          ++overlapping;
-        }
-      }
-      if (overlapping >= config_.max_concurrent_crashes) {
+      const bool overlaps = std::any_of(
+          crash_windows.begin(), crash_windows.end(),
+          [&](const std::pair<int64_t, int64_t>& w) { return start < w.second && w.first < end; });
+      if (overlaps) {
         continue;
       }
       crash_windows.emplace_back(start, end);
@@ -140,11 +136,9 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
       recover.at = sim::TimePoint::Zero() + sim::Duration::Nanos(end);
       recover.kind = FaultKind::kRecover;
       plan.events.push_back(recover);
-      ++cycles;
       placed = true;
     }
   }
-  (void)cycles;
 
   // --- transient partitions --------------------------------------------------
   // Strictly shorter than the failure timeout: they strand heartbeats and
@@ -153,8 +147,8 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
   // plan by hand — bench_e15_chaos does, to show the oracle catching the
   // resulting divergence.
   int64_t last_partition_end = 0;
-  for (size_t i = 0; i < config_.max_partitions; ++i) {
-    if (!rng.NextBool(config_.partition_probability)) {
+  for (size_t i = 0; i < kMaxPartitions; ++i) {
+    if (!rng.NextBool(kPartitionProbability)) {
       continue;
     }
     const int64_t cap = config_.failure_timeout.nanos() / 2;
@@ -206,19 +200,19 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
       burst.kind = kind;
       burst.duration = sim::Duration::Nanos(duration);
       if (kind == FaultKind::kLatencySpike) {
-        burst.value = 2.0 + rng.NextDouble() * (config_.max_latency_scale - 2.0);
+        burst.value = 2.0 + rng.NextDouble() * (kMaxLatencyScale - 2.0);
       } else {
-        burst.value = 0.05 + rng.NextDouble() * (config_.max_burst_probability - 0.05);
+        burst.value = 0.05 + rng.NextDouble() * (kMaxBurstProbability - 0.05);
       }
       plan.events.push_back(burst);
     }
   };
-  sample_bursts(config_.max_drop_bursts, FaultKind::kDropBurst);
-  sample_bursts(config_.max_duplicate_bursts, FaultKind::kDuplicateBurst);
-  sample_bursts(config_.max_latency_spikes, FaultKind::kLatencySpike);
+  sample_bursts(kMaxBurstsPerKind, FaultKind::kDropBurst);
+  sample_bursts(kMaxBurstsPerKind, FaultKind::kDuplicateBurst);
+  sample_bursts(kMaxBurstsPerKind, FaultKind::kLatencySpike);
 
   // --- overload adversity (DESIGN.md §10) ------------------------------------
-  // Every draw below is new; all knobs default to zero, so plans for
+  // Every draw below is new; the counts default to zero, so plans for
   // pre-existing configs replay byte-identically.
 
   // Slow receivers: one slot's inbound latency scales up for a window, making
@@ -240,7 +234,7 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
       slow.at = sim::TimePoint::Zero() + sim::Duration::Nanos(start);
       slow.kind = FaultKind::kSlowReceiver;
       slow.slot = slot;
-      slow.value = 2.0 + rng.NextDouble() * (config_.max_slow_receiver_scale - 2.0);
+      slow.value = 2.0 + rng.NextDouble() * (kMaxSlowReceiverScale - 2.0);
       slow.duration = sim::Duration::Nanos(duration);
       plan.events.push_back(slow);
     }
@@ -261,7 +255,7 @@ FaultPlan FaultScheduleGenerator::Generate(sim::Rng& rng) const {
       FaultEvent burst;
       burst.at = sim::TimePoint::Zero() + sim::Duration::Nanos(start);
       burst.kind = FaultKind::kOverloadBurst;
-      burst.value = 2.0 + rng.NextDouble() * (config_.max_overload_factor - 2.0);
+      burst.value = 2.0 + rng.NextDouble() * (kMaxOverloadFactor - 2.0);
       burst.duration = sim::Duration::Nanos(duration);
       plan.events.push_back(burst);
     }

@@ -56,10 +56,10 @@ struct FaultPlan {
   std::string Describe() const;
 };
 
-// Knobs for random plan sampling. Defaults give an eventful but survivable
-// schedule: the group always keeps a live majority anchored at slot 0, crash
-// windows are long enough for the failure detector to evict the victim, and
-// partitions stay shorter than the failure timeout so they stress
+// Knobs for random plan sampling. The sampled schedule is eventful but
+// survivable: the group always keeps a live majority anchored at slot 0,
+// crash windows are long enough for the failure detector to evict the
+// victim, and partitions stay shorter than the failure timeout so they stress
 // retransmission without triggering eviction — over-timeout partitions force
 // a membership decision (the flush quorum rule wedges every non-primary
 // side; see bench_e15_chaos for scripted versions of exactly that).
@@ -70,32 +70,34 @@ struct GeneratorConfig {
   // partition caps are derived from it.
   sim::Duration failure_timeout = sim::Duration::Millis(100);
 
-  // Per-eligible-slot probability of one crash/recover cycle (slot 0 never
-  // crashes: it is the rejoin contact and the oracle's reference observer).
-  double crash_probability = 0.7;
-  size_t max_concurrent_crashes = 1;
-
-  double partition_probability = 0.6;  // chance of each potential partition
-  size_t max_partitions = 2;
-
-  size_t max_drop_bursts = 2;
-  size_t max_duplicate_bursts = 2;
-  size_t max_latency_spikes = 2;
-  double max_burst_probability = 0.25;
-  double max_latency_scale = 8.0;
-
   // Overload adversity (DESIGN.md §10). All default to zero so existing
   // seeds keep producing byte-identical plans; the extra draws happen after
   // every pre-existing draw for the same reason.
-  size_t max_slow_receivers = 0;    // windows where one slot's inbound slows
-  double max_slow_receiver_scale = 6.0;
-  size_t max_overload_bursts = 0;   // windows of workload-burst multiplication
-  double max_overload_factor = 4.0;
+  size_t max_slow_receivers = 0;   // windows where one slot's inbound slows
+  size_t max_overload_bursts = 0;  // windows of workload-burst multiplication
   // Over-timeout partitions: the primary side (always containing slot 0)
   // evicts the minority; after the heal the generator crash/recovers the
   // minority slots so they rejoin fresh instead of wedging forever.
   size_t max_long_partitions = 0;
 };
+
+// The fixed shape of every sampled plan. Each slot but 0 gets one
+// crash/recover cycle with kCrashProbability (slot 0 never crashes: it is
+// the rejoin contact and the oracle's reference observer); crash windows
+// never overlap, so at most one slot is down at a time.
+inline constexpr double kCrashProbability = 0.7;
+// Up to kMaxPartitions transient partitions, each drawn with this chance.
+inline constexpr double kPartitionProbability = 0.6;
+inline constexpr size_t kMaxPartitions = 2;
+// Up to this many windows each of drop bursts, duplicate bursts and latency
+// spikes.
+inline constexpr size_t kMaxBurstsPerKind = 2;
+// Upper bounds of the values drawn per window: a drop/duplicate burst's
+// probability, and the latency-spike, slow-receiver and overload factors.
+inline constexpr double kMaxBurstProbability = 0.25;
+inline constexpr double kMaxLatencyScale = 8.0;
+inline constexpr double kMaxSlowReceiverScale = 6.0;
+inline constexpr double kMaxOverloadFactor = 4.0;
 
 class FaultScheduleGenerator {
  public:

@@ -82,7 +82,6 @@ void HiddenChannelProbe::Tick() {
   if (m1.seq == 0) {
     return;  // dropped or flush-queued: nothing identifiable to token
   }
-  ++tokens_sent_;
   // Unreliable datagram, deliberately: the reliable path is FIFO per
   // destination, so a token behind m1's own multicast segment could never
   // overtake it and the "hidden" channel would leak no reordering at all.
@@ -93,7 +92,6 @@ void HiddenChannelProbe::Tick() {
 }
 
 void HiddenChannelProbe::OnToken(size_t slot, uint64_t src_key) {
-  ++tokens_received_;
   if (!rig_->SlotAlive(slot)) {
     return;  // token outlived the incarnation it was addressed to
   }

@@ -77,8 +77,6 @@ class HiddenChannelProbe {
 
   const std::vector<Edge>& edges() const { return edges_; }
   uint64_t rounds() const { return rounds_; }
-  uint64_t tokens_sent() const { return tokens_sent_; }
-  uint64_t tokens_received() const { return tokens_received_; }
   uint64_t edges_injected() const { return edges_injected_; }
 
  private:
@@ -92,8 +90,6 @@ class HiddenChannelProbe {
   std::unique_ptr<sim::PeriodicTimer> timer_;
   std::vector<Edge> edges_;
   uint64_t rounds_ = 0;
-  uint64_t tokens_sent_ = 0;
-  uint64_t tokens_received_ = 0;
   uint64_t edges_injected_ = 0;
 };
 

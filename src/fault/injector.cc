@@ -1,6 +1,7 @@
 #include "src/fault/injector.h"
 
 #include <set>
+#include <vector>
 
 namespace fault {
 
@@ -14,7 +15,6 @@ void FaultInjector::Install(const FaultPlan& plan) {
 
 void FaultInjector::Apply(const FaultEvent& event) {
   ++events_applied_;
-  applied_log_.push_back(event.Describe());
   net::Network& network = rig_->network();
   switch (event.kind) {
     case FaultKind::kCrash:

@@ -9,8 +9,6 @@
 #define REPRO_SRC_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/fault/chaos_rig.h"
 #include "src/fault/fault_plan.h"
@@ -30,8 +28,6 @@ class FaultInjector {
   void Install(const FaultPlan& plan);
 
   uint64_t events_applied() const { return events_applied_; }
-  // One line per applied event ("<ms> <kind> ..."), for tests and reports.
-  const std::vector<std::string>& applied_log() const { return applied_log_; }
 
  private:
   void Apply(const FaultEvent& event);
@@ -39,7 +35,6 @@ class FaultInjector {
   sim::Simulator* simulator_;
   ChaosRig* rig_;
   uint64_t events_applied_ = 0;
-  std::vector<std::string> applied_log_;
 };
 
 }  // namespace fault

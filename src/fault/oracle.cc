@@ -59,7 +59,7 @@ OracleReport InvariantOracle::Audit(const ChaosRig& rig) const {
 
 OracleReport InvariantOracle::Audit(const TraceObservations& trace) const {
   OracleReport report;
-  Collector collect(config_.max_violations);
+  Collector collect(kMaxViolations);
 
   // Reuse the ordering checkers from group.cc: causal order, FIFO, and
   // total-order agreement are the same properties whether the group is
@@ -116,7 +116,7 @@ OracleReport InvariantOracle::Audit(const TraceObservations& trace) const {
 
   // No lost delivery: never-crashed members of the final view agree exactly
   // on the delivered set (view-synchronous atomicity among survivors).
-  if (config_.check_completeness) {
+  {
     const std::vector<MemberId> always = trace.always_live;
     std::map<MemberId, std::set<MessageId>> delivered_at;
     for (MemberId member : always) {
@@ -211,7 +211,7 @@ OracleReport InvariantOracle::Audit(const TraceObservations& trace) const {
   // Replicated-state agreement at quiescence: every live incarnation —
   // including rejoiners rebuilt from snapshot + redelivery — holds the same
   // application store.
-  if (config_.check_state_agreement) {
+  {
     auto stores = trace.live_stores;
     for (auto it = stores.begin(); it != stores.end();) {
       it = in_final_view(it->first) ? std::next(it) : stores.erase(it);
@@ -243,11 +243,11 @@ OracleReport InvariantOracle::Audit(const TraceObservations& trace) const {
     }
   }
 
-  // Bounded memory: no sampled ledger exceeds its configured caps, and the
+  // Bounded memory: no sampled ledger exceeds its configured cap, and the
   // pressure signal behaves as documented — epochs never regress at a
   // member, and within one epoch the level is monotone non-decreasing
   // (escalation is immediate; de-escalation always opens a new epoch).
-  if (config_.check_bounded_memory) {
+  {
     struct LastPressure {
       uint64_t epoch = 0;
       int level = 0;
@@ -263,13 +263,6 @@ OracleReport InvariantOracle::Audit(const TraceObservations& trace) const {
         out << "budget-exceeded: member " << sample.at << " at " << sample.when.nanos()
             << "ns held " << sample.used_bytes << " bytes against a cap of "
             << sample.max_bytes;
-        collect.Add(out.str());
-      }
-      if (sample.max_messages != 0 && sample.used_messages > sample.max_messages) {
-        std::ostringstream out;
-        out << "budget-exceeded: member " << sample.at << " at " << sample.when.nanos()
-            << "ns held " << sample.used_messages << " messages against a cap of "
-            << sample.max_messages;
         collect.Add(out.str());
       }
       LastPressure& last = last_pressure[sample.at];
@@ -298,7 +291,7 @@ OracleReport InvariantOracle::Audit(const TraceObservations& trace) const {
 
   // Every recovery completed: the fresh incarnation installed a view
   // containing itself.
-  if (config_.check_recovery_completed) {
+  {
     for (const auto& stat : trace.recoveries) {
       if (stat.new_id != 0 && !stat.rejoined) {
         std::ostringstream out;

@@ -19,7 +19,7 @@
 //     containing the new incarnation (a wedged rejoin is a finding, not a
 //     timeout to shrug at);
 //   * bounded memory (only meaningful for runs with a bounded budget): no
-//     sampled ledger ever exceeds the configured byte/message caps, pressure
+//     sampled ledger ever exceeds the configured byte cap, pressure
 //     epochs never regress, and the pressure level is monotone
 //     non-decreasing within one epoch (hysteresis means de-escalation always
 //     starts a new epoch — see resource_budget.h).
@@ -39,15 +39,8 @@
 
 namespace fault {
 
-struct OracleConfig {
-  // Quiescence-only checks; disable when auditing mid-run.
-  bool check_completeness = true;
-  bool check_state_agreement = true;
-  bool check_recovery_completed = true;
-  // Vacuous when the run recorded no budget samples (unbounded budget).
-  bool check_bounded_memory = true;
-  size_t max_violations = 16;  // stop collecting after this many
-};
+// The oracle stops collecting after this many violations.
+inline constexpr size_t kMaxViolations = 16;
 
 struct OracleReport {
   std::vector<std::string> violations;
@@ -73,13 +66,8 @@ struct TraceObservations {
 
 class InvariantOracle {
  public:
-  explicit InvariantOracle(OracleConfig config = {}) : config_(config) {}
-
   OracleReport Audit(const ChaosRig& rig) const;
   OracleReport Audit(const TraceObservations& trace) const;
-
- private:
-  OracleConfig config_;
 };
 
 }  // namespace fault

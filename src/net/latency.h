@@ -45,23 +45,6 @@ class UniformLatency : public LatencyModel {
   sim::Duration hi_;
 };
 
-// Heavy-tailed delays: base + lognormal(mu, sigma) microseconds. Models
-// queueing spikes that reorder packets.
-class LogNormalLatency : public LatencyModel {
- public:
-  LogNormalLatency(sim::Duration base, double mu_us, double sigma)
-      : base_(base), mu_us_(mu_us), sigma_(sigma) {}
-  sim::Duration SampleDelay(NodeId, NodeId, sim::Rng& rng) override {
-    const double extra_us = rng.NextLogNormal(mu_us_, sigma_);
-    return base_ + sim::Duration::Nanos(static_cast<int64_t>(extra_us * 1000.0));
-  }
-
- private:
-  sim::Duration base_;
-  double mu_us_;
-  double sigma_;
-};
-
 // Two-tier topology: nodes are assigned to clusters; intra-cluster packets
 // use the LAN model, inter-cluster packets the WAN model. Cluster of node n
 // is n / cluster_size.

@@ -51,7 +51,7 @@ bool Network::Send(NodeId src, NodeId dst, uint32_t port, PayloadPtr payload,
   if (!IsNodeUp(src)) {
     return false;
   }
-  const size_t total_header = header_bytes + config_.base_header_bytes;
+  const size_t total_header = header_bytes + kBaseHeaderBytes;
   ++packets_sent_;
   header_bytes_sent_ += total_header;
   payload_bytes_sent_ += payload->SizeBytes();

@@ -44,10 +44,11 @@ using PacketHandler = std::function<void(const Packet&)>;
 struct NetworkConfig {
   double drop_probability = 0.0;
   double duplicate_probability = 0.0;
-  // Base IP/UDP-style header charged on every packet in addition to protocol
-  // headers.
-  size_t base_header_bytes = 28;
 };
+
+// Base IP/UDP-style header charged on every packet in addition to protocol
+// headers.
+inline constexpr size_t kBaseHeaderBytes = 28;
 
 class Network {
  public:

@@ -64,15 +64,6 @@ class AckPayload : public Payload {
   uint64_t cumulative_;
 };
 
-// splitmix64 finalizer: a cheap, well-mixed hash for deriving retransmission
-// jitter without touching any shared RNG stream.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 Transport::Transport(sim::Simulator* simulator, Network* network, NodeId node,
@@ -87,7 +78,7 @@ Transport::Transport(sim::Simulator* simulator, Network* network, NodeId node,
   network_->RegisterHandler(node_, kDataPort, [this](const Packet& p) { OnData(p); });
   network_->RegisterHandler(node_, kAckPort, [this](const Packet& p) { OnAck(p); });
   retransmit_timer_ = std::make_unique<sim::PeriodicTimer>(
-      simulator_, config_.retransmit_scan_period, [this] { ScanRetransmits(); });
+      simulator_, kRetransmitScanPeriod, [this] { ScanRetransmits(); });
 }
 
 Transport::~Transport() = default;
@@ -101,24 +92,17 @@ void Transport::SendUnreliable(NodeId dst, uint32_t app_port, PayloadPtr payload
                  /*header_bytes=*/4);
 }
 
-bool Transport::SendReliable(NodeId dst, uint32_t app_port, PayloadPtr payload) {
-  if ((config_.max_queued_segments != 0 && queued_segments_ >= config_.max_queued_segments) ||
-      (config_.max_queued_bytes != 0 && queued_bytes_ >= config_.max_queued_bytes)) {
-    ++queue_overflow_drops_;
-    return false;
-  }
+void Transport::SendReliable(NodeId dst, uint32_t app_port, PayloadPtr payload) {
   PeerSender& sender = senders_[dst];
-  PendingSegment segment{sender.next_seq++, app_port, std::move(payload), simulator_->now(), 0, 0};
-  queued_bytes_ += segment.payload->SizeBytes() + config_.data_header_bytes;
+  PendingSegment segment{sender.next_seq++, app_port, std::move(payload), simulator_->now(), 0};
+  queued_bytes_ += segment.payload->SizeBytes() + kDataHeaderBytes;
   ++queued_segments_;
-  peak_queued_bytes_ = std::max(peak_queued_bytes_, queued_bytes_);
   peak_queued_segments_ = std::max(peak_queued_segments_, queued_segments_);
   TransmitSegment(dst, segment);
   sender.unacked.emplace(segment.seq, std::move(segment));
   if (!retransmit_timer_->running()) {
-    retransmit_timer_->Start(config_.retransmit_scan_period);
+    retransmit_timer_->Start(kRetransmitScanPeriod);
   }
-  return true;
 }
 
 void Transport::ResetPeerState() {
@@ -133,13 +117,13 @@ void Transport::TransmitSegment(NodeId dst, const PendingSegment& segment) {
   ++segments_sent_;
   network_->Send(node_, dst, kDataPort,
                  mem::MakePooled<SegmentPayload>(segment.seq, segment.app_port, segment.payload),
-                 config_.data_header_bytes);
+                 kDataHeaderBytes);
 }
 
 void Transport::SendAck(NodeId dst, uint64_t cumulative) {
   ++acks_sent_;
   network_->Send(node_, dst, kAckPort, mem::MakePooled<AckPayload>(cumulative),
-                 config_.ack_header_bytes);
+                 kAckHeaderBytes);
 }
 
 void Transport::OnData(const Packet& packet) {
@@ -171,41 +155,10 @@ void Transport::OnAck(const Packet& packet) {
   }
   auto& unacked = it->second.unacked;
   const auto acked_end = unacked.upper_bound(ack->cumulative());
-  const bool progressed = acked_end != unacked.begin();
   for (auto seg = unacked.begin(); seg != acked_end; ++seg) {
     Discharge(seg->second);
   }
   unacked.erase(unacked.begin(), acked_end);
-  if (progressed) {
-    // The peer just proved it is alive and draining: restart the backoff
-    // schedule for everything still queued to it. Without this, the backoff
-    // level reached during one failure episode (say, while the peer was
-    // crashed) leaked into the next, so a fresh loss after recovery started
-    // at the slowest retransmit interval instead of the base timeout.
-    for (auto& [seq, segment] : unacked) {
-      segment.backoff = 0;
-    }
-  }
-}
-
-sim::Duration Transport::RetransmitWait(NodeId dst, const PendingSegment& segment) const {
-  double wait_ns = static_cast<double>(config_.retransmit_timeout.nanos());
-  // Iterative multiply (not std::pow) so the schedule is bit-identical
-  // everywhere; backoff is bounded by max_retries.
-  for (int i = 0; i < segment.backoff; ++i) {
-    wait_ns *= config_.backoff_factor;
-    if (wait_ns >= static_cast<double>(config_.max_retransmit_timeout.nanos())) {
-      wait_ns = static_cast<double>(config_.max_retransmit_timeout.nanos());
-      break;
-    }
-  }
-  if (config_.jitter > 0.0) {
-    const uint64_t h = Mix64(node_ ^ Mix64(dst ^ Mix64(segment.seq ^ Mix64(
-                                 static_cast<uint64_t>(segment.retries)))));
-    const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    wait_ns *= 1.0 + config_.jitter * unit;
-  }
-  return sim::Duration::Nanos(static_cast<int64_t>(wait_ns));
 }
 
 void Transport::ScanRetransmits() {
@@ -214,7 +167,7 @@ void Transport::ScanRetransmits() {
   for (auto& [dst, sender] : senders_) {
     for (auto it = sender.unacked.begin(); it != sender.unacked.end(); ++it) {
       PendingSegment& segment = it->second;
-      if (now - segment.last_sent < RetransmitWait(dst, segment)) {
+      if (now - segment.last_sent < config_.retransmit_timeout) {
         continue;
       }
       if (segment.retries >= config_.max_retries) {
@@ -229,7 +182,6 @@ void Transport::ScanRetransmits() {
         break;
       }
       ++segment.retries;
-      ++segment.backoff;
       ++retransmissions_;
       segment.last_sent = now;
       TransmitSegment(dst, segment);

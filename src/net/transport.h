@@ -25,33 +25,20 @@ namespace net {
 using ReceiveFn = std::function<void(NodeId, uint32_t, const PayloadPtr&)>;
 
 struct TransportConfig {
+  // An unacked segment is retransmitted every retransmit_timeout (a fixed
+  // interval) until it is acked or has been retransmitted max_retries times.
+  // After that the sender gives up on the peer: the whole per-peer queue is
+  // dropped (FIFO forbids skipping the gap) and the failure handler, if set,
+  // is told the peer is presumed dead.
   sim::Duration retransmit_timeout = sim::Duration::Millis(20);
-  sim::Duration retransmit_scan_period = sim::Duration::Millis(5);
-  // A segment that has been retransmitted k times waits
-  // retransmit_timeout * backoff_factor^k (capped at max_retransmit_timeout)
-  // before the next attempt. The default factor of 1.0 keeps the classic
-  // fixed-interval schedule.
-  double backoff_factor = 1.0;
-  sim::Duration max_retransmit_timeout = sim::Duration::Millis(500);
-  // Stretches each wait by up to this fraction, derived from a hash of
-  // (node, peer, seq, retries) — deterministic across runs and drawn from no
-  // shared RNG stream, so enabling it cannot perturb unrelated components.
-  double jitter = 0.0;
-  // After this many retransmissions of one segment the sender gives up on the
-  // peer: the whole per-peer queue is dropped (FIFO forbids skipping the gap)
-  // and the failure handler, if set, is told the peer is presumed dead.
   int max_retries = 50;
-  // Wire overhead charged per data segment / ack.
-  size_t data_header_bytes = 16;
-  size_t ack_header_bytes = 12;
-  // Hard bounds on the total unacked send-queue occupancy across all peers;
-  // a reliable send that would exceed either is refused (SendReliable
-  // returns false, counted in queue_overflow_drops). 0 = unbounded (the
-  // default). Upper layers normally stay below these via flow control; the
-  // bound is the last-resort backstop.
-  size_t max_queued_segments = 0;
-  size_t max_queued_bytes = 0;
 };
+
+// How often the sender looks for segments due a retransmission.
+inline constexpr sim::Duration kRetransmitScanPeriod = sim::Duration::Millis(5);
+// Wire overhead charged per data segment / ack.
+inline constexpr size_t kDataHeaderBytes = 16;
+inline constexpr size_t kAckHeaderBytes = 12;
 
 class Transport {
  public:
@@ -76,9 +63,8 @@ class Transport {
   // Fire-and-forget datagram: may be lost, duplicated, or reordered.
   void SendUnreliable(NodeId dst, uint32_t app_port, PayloadPtr payload);
 
-  // Reliable, FIFO-per-destination delivery. False iff the segment was
-  // refused because a configured queue bound would be exceeded.
-  bool SendReliable(NodeId dst, uint32_t app_port, PayloadPtr payload);
+  // Reliable, FIFO-per-destination delivery.
+  void SendReliable(NodeId dst, uint32_t app_port, PayloadPtr payload);
 
   // Drops all in-flight reliable state (used when a process crashes: an
   // amnesiac restart must not resume old sequence numbers).
@@ -94,8 +80,6 @@ class Transport {
   size_t queued_segments() const { return queued_segments_; }
   size_t queued_bytes() const { return queued_bytes_; }
   size_t peak_queued_segments() const { return peak_queued_segments_; }
-  size_t peak_queued_bytes() const { return peak_queued_bytes_; }
-  uint64_t queue_overflow_drops() const { return queue_overflow_drops_; }
 
  private:
   struct PendingSegment {
@@ -104,11 +88,6 @@ class Transport {
     PayloadPtr payload;
     sim::TimePoint last_sent;
     int retries = 0;
-    // Backoff level for the wait schedule. Tracks retries except that ack
-    // progress from the peer resets it (the peer is alive again), while
-    // retries keeps counting monotonically for the give-up limit and the
-    // jitter hash.
-    int backoff = 0;
   };
   struct PeerSender {
     uint64_t next_seq = 1;
@@ -126,8 +105,6 @@ class Transport {
   void SendAck(NodeId dst, uint64_t cumulative);
   void ScanRetransmits();
   void DeliverUp(NodeId src, uint32_t app_port, const PayloadPtr& payload);
-  // Backed-off, jittered wait before the segment's next retransmission.
-  sim::Duration RetransmitWait(NodeId dst, const PendingSegment& segment) const;
 
   sim::Simulator* simulator_;
   Network* network_;
@@ -141,7 +118,7 @@ class Transport {
 
   // Occupancy bookkeeping shared by SendReliable/OnAck/give-up/reset.
   void Discharge(const PendingSegment& segment) {
-    queued_bytes_ -= segment.payload->SizeBytes() + config_.data_header_bytes;
+    queued_bytes_ -= segment.payload->SizeBytes() + kDataHeaderBytes;
     --queued_segments_;
   }
 
@@ -152,8 +129,6 @@ class Transport {
   size_t queued_segments_ = 0;
   size_t queued_bytes_ = 0;
   size_t peak_queued_segments_ = 0;
-  size_t peak_queued_bytes_ = 0;
-  uint64_t queue_overflow_drops_ = 0;
 };
 
 }  // namespace net

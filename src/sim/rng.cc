@@ -89,18 +89,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-double Rng::NextExponential(double mean) {
-  double u;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
-double Rng::NextLogNormal(double mu, double sigma) {
-  return std::exp(mu + sigma * NextGaussian());
-}
-
 Duration Rng::NextDuration(Duration lo, Duration hi) {
   return Duration(NextInRange(lo.nanos(), hi.nanos()));
 }

@@ -41,12 +41,6 @@ class Rng {
   // Standard normal via Box-Muller (deterministic; caches the spare value).
   double NextGaussian();
 
-  // Exponential with the given mean (> 0).
-  double NextExponential(double mean);
-
-  // Log-normal parameterized by the *underlying* normal's mu and sigma.
-  double NextLogNormal(double mu, double sigma);
-
   // Uniform duration in [lo, hi].
   Duration NextDuration(Duration lo, Duration hi);
 

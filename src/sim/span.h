@@ -37,7 +37,7 @@ struct SpanRecord {
   uint32_t actor = 0;  // node/member observing the event
   TimePoint when;
   SpanEvent event = SpanEvent::kSend;
-  const char* layer = "";  // static string (layers hand in their name())
+  const char* layer = "";  // static string naming the reporting layer
   std::string note;        // hold reason or extra detail; often empty
 
   std::string ToString() const;

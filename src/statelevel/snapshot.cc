@@ -92,7 +92,6 @@ void SnapshotNode::OnApp(net::NodeId src, const net::PayloadPtr& payload) {
   for (auto& [id, progress] : active_) {
     if (progress.awaiting_marker.count(src)) {
       progress.snapshot.channel_messages[src].push_back(payload);
-      ++recorded_messages_;
     }
   }
   if (app_handler_) {

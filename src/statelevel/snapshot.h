@@ -57,7 +57,6 @@ class SnapshotNode {
   void SetCompleteHandler(CompleteHandler handler) { complete_handler_ = std::move(handler); }
 
   uint64_t markers_sent() const { return markers_sent_; }
-  uint64_t recorded_messages() const { return recorded_messages_; }
 
  private:
   struct InProgress {
@@ -79,7 +78,6 @@ class SnapshotNode {
   std::map<uint64_t, InProgress> active_;
   std::set<uint64_t> finished_;
   uint64_t markers_sent_ = 0;
-  uint64_t recorded_messages_ = 0;
 };
 
 // Gathers local snapshots from all nodes (over the transport) and invokes a

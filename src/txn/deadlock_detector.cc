@@ -57,7 +57,6 @@ DeadlockMonitor::DeadlockMonitor(sim::Simulator* simulator, net::Transport* tran
 void DeadlockMonitor::OnReport(net::NodeId reporter, const net::PayloadPtr& payload) {
   const auto* report = net::PayloadCast<ReportMsg>(payload);
   assert(report != nullptr);
-  ++reports_received_;
   auto& [seq, edges] = latest_[reporter];
   if (report->seq() <= seq) {
     return;  // stale or duplicate

@@ -62,7 +62,6 @@ class DeadlockMonitor {
 
   const WaitForGraph& graph() const { return graph_; }
   uint64_t detections() const { return detections_; }
-  uint64_t reports_received() const { return reports_received_; }
 
  private:
   void OnReport(net::NodeId reporter, const net::PayloadPtr& payload);
@@ -75,7 +74,6 @@ class DeadlockMonitor {
   // Last accepted (seq, edges) per reporting process.
   std::map<net::NodeId, std::pair<uint64_t, std::vector<WaitEdge>>> latest_;
   uint64_t detections_ = 0;
-  uint64_t reports_received_ = 0;
 };
 
 }  // namespace txn

@@ -89,16 +89,11 @@ class UpdateAckMsg : public net::Payload {
 // --- TxnReplica ----------------------------------------------------------------
 
 TxnReplica::TxnReplica(sim::Simulator* simulator, net::Transport* transport,
-                       sim::Duration wal_flush_delay)
-    : TxnReplica(simulator, transport,
-                 TxnReplicaConfig{DeadlockPolicy::kDetect, wal_flush_delay}) {}
-
-TxnReplica::TxnReplica(sim::Simulator* simulator, net::Transport* transport,
                        const TxnReplicaConfig& config)
     : simulator_(simulator),
       transport_(transport),
       locks_(config.policy),
-      wal_(simulator, config.wal_flush_delay) {
+      wal_(simulator) {
   // Wound victims (starvation-free policy): locks are already released when
   // the handler runs; all that is left is the 2PC-level abort.
   locks_.SetAbortHandler([this](TxnId txn) { AbortLocal(txn); });
@@ -115,7 +110,6 @@ TxnReplica::TxnReplica(sim::Simulator* simulator, net::Transport* transport,
 void TxnReplica::OnPrepare(net::NodeId coordinator, const net::PayloadPtr& payload) {
   const auto* prepare = net::PayloadCast<PrepareMsg>(payload);
   assert(prepare != nullptr);
-  ++prepares_seen_;
   const uint64_t txn = prepare->txn();
 
   // State-level veto: the replica may refuse (limitation 2 in action — a
@@ -225,11 +219,6 @@ std::optional<double> TxnReplica::Read(const std::string& key) const {
 }
 
 // --- TxnCoordinator --------------------------------------------------------------
-
-TxnCoordinator::TxnCoordinator(sim::Simulator* simulator, net::Transport* transport,
-                               std::vector<net::NodeId> replicas, sim::Duration prepare_timeout)
-    : TxnCoordinator(simulator, transport, std::move(replicas),
-                     CoordinatorConfig{prepare_timeout}) {}
 
 TxnCoordinator::TxnCoordinator(sim::Simulator* simulator, net::Transport* transport,
                                std::vector<net::NodeId> replicas,
@@ -419,7 +408,6 @@ std::string EncodeWalUpdate(const std::string& key, double value) {
 void CatocsReplica::OnDeliver(const catocs::Delivery& delivery) {
   if (const auto* update = net::PayloadCast<UpdateMsg>(delivery.payload())) {
     store_[update->key()] = update->value();
-    ++updates_applied_;
     if (wal_ != nullptr) {
       wal_->Append(EncodeWalUpdate(update->key(), update->value()), nullptr);
     }
@@ -427,9 +415,6 @@ void CatocsReplica::OnDeliver(const catocs::Delivery& delivery) {
       transport_->SendReliable(update->primary(), kAckPort,
                                std::make_shared<UpdateAckMsg>(update->update_id()));
     }
-  }
-  if (observer_) {
-    observer_(delivery);
   }
 }
 

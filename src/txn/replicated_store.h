@@ -43,7 +43,6 @@ struct TxnReplicaConfig {
   // How lock conflicts are resolved (DESIGN §12): detect leaves deadlocks to
   // the wait-for monitor, the other two prevent them by timestamp order.
   DeadlockPolicy policy = DeadlockPolicy::kDetect;
-  sim::Duration wal_flush_delay = sim::Duration::Micros(500);
 };
 
 class TxnReplica {
@@ -53,9 +52,7 @@ class TxnReplica {
   static constexpr uint32_t kDecisionPort = 0x79000003;
 
   TxnReplica(sim::Simulator* simulator, net::Transport* transport,
-             sim::Duration wal_flush_delay = sim::Duration::Micros(500));
-  TxnReplica(sim::Simulator* simulator, net::Transport* transport,
-             const TxnReplicaConfig& config);
+             const TxnReplicaConfig& config = {});
 
   // State-level veto (limitation 2): return false to reject a write, e.g.
   // out of storage or protection failure. Default accepts everything.
@@ -66,7 +63,6 @@ class TxnReplica {
   std::optional<double> Read(const std::string& key) const;
   const std::map<std::string, double>& store() const { return store_; }
   const WriteAheadLog& wal() const { return wal_; }
-  uint64_t prepares_seen() const { return prepares_seen_; }
 
   // Prepared-but-undecided transactions this replica aborted on its own
   // (wait-die refusal or wound) — each one went back to its coordinator as a
@@ -98,7 +94,6 @@ class TxnReplica {
   std::function<bool(const std::string&)> vote_hook_;
   std::map<std::string, double> store_;
   std::map<uint64_t, PendingTxn> pending_;
-  uint64_t prepares_seen_ = 0;
   uint64_t local_aborts_ = 0;
 };
 
@@ -133,10 +128,7 @@ class TxnCoordinator {
   using DoneFn = std::function<void(bool committed)>;
 
   TxnCoordinator(sim::Simulator* simulator, net::Transport* transport,
-                 std::vector<net::NodeId> replicas,
-                 sim::Duration prepare_timeout = sim::Duration::Millis(100));
-  TxnCoordinator(sim::Simulator* simulator, net::Transport* transport,
-                 std::vector<net::NodeId> replicas, const CoordinatorConfig& config);
+                 std::vector<net::NodeId> replicas, const CoordinatorConfig& config = {});
 
   // Atomically writes a *group* of keys at all available replicas. done
   // fires once per logical transaction, after the final attempt.
@@ -205,7 +197,6 @@ class CatocsReplica {
 
   std::optional<double> Read(const std::string& key) const;
   const std::map<std::string, double>& store() const { return store_; }
-  uint64_t updates_applied() const { return updates_applied_; }
 
   // Optional durability: with a WAL attached, every applied update is
   // appended (asynchronously flushed) before the ack goes back to the
@@ -216,10 +207,6 @@ class CatocsReplica {
   void AttachWal(WriteAheadLog* wal) { wal_ = wal; }
   uint64_t RecoverFromWal(const WriteAheadLog& wal, sim::TimePoint crash_time);
 
-  // Chains another handler to observe deliveries (the replica consumes the
-  // member's delivery handler slot).
-  void SetObserver(catocs::DeliveryHandler observer) { observer_ = std::move(observer); }
-
  private:
   void OnDeliver(const catocs::Delivery& delivery);
 
@@ -228,8 +215,6 @@ class CatocsReplica {
   catocs::GroupMember* member_;
   WriteAheadLog* wal_ = nullptr;
   std::map<std::string, double> store_;
-  catocs::DeliveryHandler observer_;
-  uint64_t updates_applied_ = 0;
 };
 
 struct CatocsPrimaryStats {

@@ -6,9 +6,9 @@ namespace txn {
 
 uint64_t WriteAheadLog::Append(std::string payload, std::function<void()> on_durable) {
   const uint64_t lsn = next_lsn_++;
-  const sim::TimePoint durable_at = simulator_->now() + flush_delay_;
+  const sim::TimePoint durable_at = simulator_->now() + kFlushDelay;
   records_.push_back(LogRecord{lsn, std::move(payload), durable_at});
-  simulator_->ScheduleAfter(flush_delay_, [fn = std::move(on_durable)] {
+  simulator_->ScheduleAfter(kFlushDelay, [fn = std::move(on_durable)] {
     if (fn) {
       fn();
     }

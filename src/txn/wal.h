@@ -1,5 +1,5 @@
-// Simulated write-ahead log: append costs a flush delay before the record is
-// durable. This is what gives the transactional replication design its
+// Simulated write-ahead log: append costs a fixed flush delay (500 µs)
+// before the record is durable. This is what gives the transactional replication design its
 // durability edge over CATOCS replication (§4.4): a committed update
 // survives any crash, where a cbcast with write-safety level 0 does not.
 
@@ -23,8 +23,9 @@ struct LogRecord {
 
 class WriteAheadLog {
  public:
-  WriteAheadLog(sim::Simulator* simulator, sim::Duration flush_delay)
-      : simulator_(simulator), flush_delay_(flush_delay) {}
+  static constexpr sim::Duration kFlushDelay = sim::Duration::Micros(500);
+
+  explicit WriteAheadLog(sim::Simulator* simulator) : simulator_(simulator) {}
 
   // Appends a record; on_durable fires once the (simulated) flush completes.
   // Returns the assigned LSN.
@@ -38,7 +39,6 @@ class WriteAheadLog {
 
  private:
   sim::Simulator* simulator_;
-  sim::Duration flush_delay_;
   std::vector<LogRecord> records_;
   uint64_t next_lsn_ = 1;
 };

@@ -114,8 +114,11 @@ TEST(BatchingTest, BatchNeverSpansViewChange) {
   cfg.group.enable_membership = true;
   cfg.group.heartbeat_interval = sim::Duration::Millis(20);
   cfg.group.failure_timeout = sim::Duration::Millis(120);
-  // Long timer so the partial batch is still pending when the flush starts.
-  cfg.group.batch_flush_delay = sim::Duration::Millis(500);
+  // 100 µs links: the join reaches the coordinator (member 0, via member 1)
+  // and the whole view change completes well inside the 1 ms batch flush
+  // delay, so the partial batch is still pending when the flush starts.
+  cfg.latency_lo = sim::Duration::Micros(100);
+  cfg.latency_hi = sim::Duration::Micros(100);
   GroupFabric fabric(&s, cfg);
   net::Transport joiner_transport(&s, &fabric.network(), 9);
   GroupMember joiner(&s, &joiner_transport, cfg.group, 9, {9});
@@ -123,18 +126,20 @@ TEST(BatchingTest, BatchNeverSpansViewChange) {
   fabric.StartAll();
   joiner.Start();
 
-  s.ScheduleAfter(sim::Duration::Millis(100), [&fabric] {
+  s.ScheduleAfter(sim::Duration::Millis(100), [&fabric, &joiner] {
     for (int k = 0; k < 3; ++k) {
       fabric.member(0).CausalSend(Blob());
     }
+    joiner.JoinGroup(2);
   });
-  s.ScheduleAfter(sim::Duration::Millis(102), [&joiner] { joiner.JoinGroup(2); });
   s.RunFor(sim::Duration::Seconds(3));
 
   EXPECT_EQ(joiner.view().members, (std::vector<MemberId>{1, 2, 3, 9}));
   const auto& stats = fabric.member(0).stats();
   EXPECT_EQ(stats.batches_sent, 1u) << "the flush broadcast the pending batch, whole";
   EXPECT_EQ(stats.batched_data_msgs, 3u);
+  EXPECT_EQ(stats.data_transmissions, 2u)
+      << "the batch went out to the two old-view peers, before the joiner was admitted";
   for (size_t i = 0; i < 3; ++i) {
     const auto order = fabric.DeliveryOrderAt(i);
     ASSERT_EQ(order.size(), 3u) << "member " << i << ": every constituent survives the flush";

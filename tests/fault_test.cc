@@ -74,11 +74,11 @@ TEST(FaultPlanTest, PlansAreWellFormed) {
         case FaultKind::kDropBurst:
         case FaultKind::kDuplicateBurst:
           EXPECT_GT(event.value, 0.0) << "seed " << seed;
-          EXPECT_LE(event.value, cfg.max_burst_probability) << "seed " << seed;
+          EXPECT_LE(event.value, kMaxBurstProbability) << "seed " << seed;
           break;
         case FaultKind::kLatencySpike:
           EXPECT_GE(event.value, 2.0) << "seed " << seed;
-          EXPECT_LE(event.value, cfg.max_latency_scale) << "seed " << seed;
+          EXPECT_LE(event.value, kMaxLatencyScale) << "seed " << seed;
           break;
         case FaultKind::kSlowReceiver:
         case FaultKind::kOverloadBurst:

@@ -56,7 +56,6 @@ TEST(ResourceBudgetTest, UnboundedByDefault) {
   EXPECT_FALSE(budget.bounded());
   EXPECT_EQ(budget.pressure(), MemoryPressure::kNone);
   EXPECT_EQ(budget.utilization(), 0.0);
-  EXPECT_FALSE(budget.WouldExceed(1 << 30, 1 << 20));
 }
 
 TEST(ResourceBudgetTest, WatermarkEscalationHysteresisAndEpochs) {
@@ -91,7 +90,6 @@ TEST(ResourceBudgetTest, ComponentsReportAbsoluteOccupancy) {
   ResourceBudget budget;
   BudgetConfig cfg;
   cfg.max_bytes = 1000;
-  cfg.max_messages = 10;
   budget.Configure(cfg);
 
   budget.Set(ResourceBudget::kRetention, 100, 1);
@@ -105,10 +103,6 @@ TEST(ResourceBudgetTest, ComponentsReportAbsoluteOccupancy) {
   EXPECT_EQ(budget.used_bytes(), 250u);
   EXPECT_EQ(budget.used_messages(), 3u);
   EXPECT_EQ(budget.component_bytes(ResourceBudget::kRetention), 50u);
-
-  EXPECT_TRUE(budget.WouldExceed(800, 0));  // bytes axis
-  EXPECT_TRUE(budget.WouldExceed(0, 8));    // messages axis
-  EXPECT_FALSE(budget.WouldExceed(100, 1));
 }
 
 // --- GroupMember flow-control defaults -------------------------------------
@@ -262,7 +256,7 @@ TEST(FlowControlTest, ShedNewDropsDuringPartialBatch) {
 // --- Edge case 3: laggard eviction racing a partition heal ------------------
 //
 // Under evict-laggard, a receiver that pins the window shut for
-// laggard_patience consecutive retry ticks is handed to membership as a
+// kLaggardPatience consecutive retry ticks is handed to membership as a
 // suspect. Here the partition heals while the resulting flush is still in
 // flight: the eviction must win deterministically (the suspicion was already
 // fed to membership), the survivors install {1, 2}, and the sender's window
@@ -279,8 +273,6 @@ TEST(FlowControlTest, LaggardEvictionRacesHeal) {
     cfg.group.ack_gossip_interval = sim::Duration::Millis(10);
     cfg.group.send_window = 4;
     cfg.group.overload_policy = OverloadPolicy::kEvictLaggard;
-    cfg.group.flow_retry_interval = sim::Duration::Millis(5);
-    cfg.group.laggard_patience = 20;
     GroupFabric fabric(&s, cfg);
 
     std::ostringstream trace;

@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <vector>
 
 #include "src/catocs/group.h"
 #include "src/net/latency.h"
@@ -40,22 +38,6 @@ TEST(LatencyModelTest, UniformStaysInBoundsAndCoversThem) {
   EXPECT_GT(hi, sim::Duration::Millis(9)) << "upper region reachable";
 }
 
-TEST(LatencyModelTest, LogNormalIsHeavyTailedAboveBase) {
-  sim::Rng rng(3);
-  net::LogNormalLatency model(sim::Duration::Millis(1), /*mu_us=*/6.0, /*sigma=*/1.0);
-  double sum_ms = 0;
-  double max_ms = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double ms = model.SampleDelay(1, 2, rng).seconds() * 1000.0;
-    EXPECT_GE(ms, 1.0);
-    sum_ms += ms;
-    max_ms = std::max(max_ms, ms);
-  }
-  const double mean_ms = sum_ms / n;
-  EXPECT_GT(max_ms, 4.0 * mean_ms) << "a heavy tail should show extreme samples";
-}
-
 TEST(LatencyModelTest, ClusteredSplitsLanAndWan) {
   sim::Rng rng(4);
   net::ClusteredLatency model(
@@ -66,17 +48,6 @@ TEST(LatencyModelTest, ClusteredSplitsLanAndWan) {
   EXPECT_EQ(model.SampleDelay(4, 7, rng), sim::Duration::Millis(1));
   EXPECT_EQ(model.SampleDelay(0, 4, rng), sim::Duration::Millis(20));
   EXPECT_EQ(model.SampleDelay(7, 1, rng), sim::Duration::Millis(20));
-}
-
-TEST(RngDistributionTest, LogNormalMedianNearExpMu) {
-  sim::Rng rng(5);
-  std::vector<double> samples;
-  for (int i = 0; i < 20001; ++i) {
-    samples.push_back(rng.NextLogNormal(2.0, 0.5));
-  }
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2, samples.end());
-  const double median = samples[samples.size() / 2];
-  EXPECT_NEAR(median, std::exp(2.0), 0.35);
 }
 
 TEST(RngDistributionTest, DurationSamplingInclusive) {

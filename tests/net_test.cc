@@ -389,77 +389,30 @@ TEST(TransportTest, GiveUpNotifiesHandlerAndDropsWholeQueue) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(TransportTest, ExponentialBackoffSpacesRetransmits) {
-  sim::Simulator s(18);
-  TransportConfig tcfg;
-  tcfg.backoff_factor = 2.0;
-  tcfg.max_retries = 20;
-  auto pair = MakePair(&s, {}, tcfg);
-  pair.network->SetNodeUp(2, false);
-  pair.a->SendReliable(2, kPort, Blob("x"));
-  s.RunFor(sim::Duration::Millis(300));
-  // Doubling waits (20, 40, 80, 160ms...) allow only ~4 attempts by 300ms
-  // where the fixed 20ms schedule would have made ~14.
-  const uint64_t early = pair.a->retransmissions();
-  EXPECT_GE(early, 3u);
-  EXPECT_LE(early, 5u);
-  // The 500ms cap keeps the schedule finite: all retries are eventually spent.
-  s.RunFor(sim::Duration::Seconds(20));
-  EXPECT_EQ(pair.a->retransmissions(), 20u);
-}
-
-TEST(TransportTest, AckProgressRestartsBackoffForQueuedSegments) {
-  sim::Simulator s(21);
-  TransportConfig tcfg;
-  tcfg.backoff_factor = 2.0;
-  tcfg.max_retransmit_timeout = sim::Duration::Seconds(10);
-  auto pair = MakePair(&s, {}, tcfg);
-  int got = 0;
-  pair.b->RegisterReceiver(kPort, [&](NodeId, uint32_t, const PayloadPtr&) { ++got; });
-
-  // Two segments queued during one long outage, 2.5s apart, so their doubled
-  // schedules drift out of phase: by 8s "one" is next due near 10.2s while
-  // "two" has just missed at ~7.6s and would not try again until ~12.7s.
-  pair.network->SetNodeUp(2, false);
-  pair.a->SendReliable(2, kPort, Blob("one"));
-  s.RunFor(sim::Duration::Millis(2500));
-  pair.a->SendReliable(2, kPort, Blob("two"));
-  s.RunFor(sim::Duration::Millis(5500));
-
-  // The link heals, but neither stale schedule has an attempt due before
-  // ~10.2s — nothing is delivered for the next two seconds.
-  pair.network->SetNodeUp(2, true);
-  s.RunFor(sim::Duration::Seconds(2));
-  EXPECT_EQ(got, 0);
-
-  // "one"'s ~10.2s attempt lands and its ack proves the peer is draining
-  // again. That progress must restart "two" on the 20ms base schedule so it
-  // delivers within milliseconds — not sleep out the rest of its stale ~5s
-  // doubled wait (which would push delivery past 12.7s).
-  s.RunFor(sim::Duration::Seconds(1));
-  EXPECT_EQ(got, 2);
-  s.Run();
-  EXPECT_EQ(s.pending_events(), 0u) << "queue drained and timer quiesced";
-}
-
-TEST(TransportTest, JitterIsDeterministicAcrossRuns) {
-  auto run = [](uint64_t seed) {
-    sim::Simulator s(seed);
+// With the peer down, an unacked segment goes out again every
+// retransmit_timeout, as seen by the 5 ms retransmit scan: a fixed interval
+// that neither stretches with the retry count nor varies per segment.
+TEST(TransportTest, RetransmitsOnFixedSchedule) {
+  {
+    sim::Simulator s(18);
+    auto pair = MakePair(&s);  // default 20 ms timeout
+    pair.network->SetNodeUp(2, false);
+    pair.a->SendReliable(2, kPort, Blob("x"));
+    s.RunFor(sim::Duration::Millis(100));
+    EXPECT_EQ(pair.a->retransmissions(), 5u);
+    s.RunFor(sim::Duration::Millis(200));
+    EXPECT_EQ(pair.a->retransmissions(), 15u);
+  }
+  {
+    sim::Simulator s(18);
     TransportConfig tcfg;
-    tcfg.jitter = 0.5;
-    tcfg.max_retries = 10;
+    tcfg.retransmit_timeout = sim::Duration::Millis(150);
     auto pair = MakePair(&s, {}, tcfg);
     pair.network->SetNodeUp(2, false);
     pair.a->SendReliable(2, kPort, Blob("x"));
-    s.RunFor(sim::Duration::Millis(200));
-    return pair.a->retransmissions();
-  };
-  // Identical seeds give identical jittered schedules.
-  EXPECT_EQ(run(21), run(21));
-  // Jitter only ever stretches the wait, so it can't beat the base schedule
-  // (which fits at most ~9 attempts into 200ms).
-  EXPECT_LE(run(21), 9u);
-  EXPECT_GE(run(21), 5u);
+    s.RunFor(sim::Duration::Millis(600));
+    EXPECT_EQ(pair.a->retransmissions(), 4u);
+  }
 }
 
 TEST(TransportTest, SeparatePortsDemultiplex) {

@@ -417,7 +417,7 @@ TEST(CatocsStoreTest, CausalOrderKeepsReplicasConvergent) {
 
 TEST(CatocsStoreTest, WalReplayRebuildsStoreAfterCrash) {
   CatocsRig rig(3, 1);
-  WriteAheadLog wal(&rig.s, sim::Duration::Micros(500));
+  WriteAheadLog wal(&rig.s);
   rig.replicas[1]->AttachWal(&wal);
   int done = 0;
   for (int i = 1; i <= 12; ++i) {
@@ -438,7 +438,7 @@ TEST(CatocsStoreTest, WalReplayRebuildsStoreAfterCrash) {
 
 TEST(CatocsStoreTest, WalReplayStopsAtCrashInstant) {
   CatocsRig rig(3, 1);
-  WriteAheadLog wal(&rig.s, sim::Duration::Micros(500));
+  WriteAheadLog wal(&rig.s);
   rig.replicas[1]->AttachWal(&wal);
   for (int i = 1; i <= 12; ++i) {
     rig.s.ScheduleAfter(sim::Duration::Millis(5 * i), [&rig, i] {

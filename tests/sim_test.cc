@@ -120,16 +120,6 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(19);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    sum += rng.NextExponential(5.0);
-  }
-  EXPECT_NEAR(sum / n, 5.0, 0.2);
-}
-
 TEST(RngTest, ForkIndependence) {
   Rng parent(23);
   Rng child = parent.Fork();

@@ -14,7 +14,9 @@
 
 #include "src/catocs/causal_buffer.h"
 #include "src/catocs/hold_tap.h"
+#include "src/catocs/hybrid_buffer.h"
 #include "src/catocs/overlay_buffer.h"
+#include "src/catocs/stability.h"
 #include "src/net/payload.h"
 #include "src/sim/simulator.h"
 
@@ -57,10 +59,10 @@ class CausalBufferTest : public ::testing::TestWithParam<CausalBufferKind> {
 };
 
 TEST_P(CausalBufferTest, FactoryProducesNamedStrategy) {
-  EXPECT_STREQ(GetParam() == CausalBufferKind::kFullVector ? "full-vector" : "hybrid",
-               buffer_->name());
-  EXPECT_STREQ(GetParam() == CausalBufferKind::kFullVector ? "full-vector" : "hybrid",
-               ToString(GetParam()));
+  const bool full_vector = GetParam() == CausalBufferKind::kFullVector;
+  EXPECT_EQ(full_vector, dynamic_cast<StabilityTracker*>(buffer_.get()) != nullptr);
+  EXPECT_EQ(!full_vector, dynamic_cast<HybridBuffer*>(buffer_.get()) != nullptr);
+  EXPECT_STREQ(full_vector ? "full-vector" : "hybrid", ToString(GetParam()));
 }
 
 TEST_P(CausalBufferTest, SingleMemberGroup) {

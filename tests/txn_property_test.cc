@@ -190,7 +190,8 @@ TEST_P(TxnStoreHostileTest, AckedWritesPresentEverywhere) {
     transports.push_back(std::make_unique<net::Transport>(&s, &network, id, tcfg));
     replicas.push_back(std::make_unique<TxnReplica>(&s, transports.back().get()));
   }
-  TxnCoordinator coordinator(&s, transports[0].get(), ids, sim::Duration::Millis(500));
+  TxnCoordinator coordinator(&s, transports[0].get(), ids,
+                             CoordinatorConfig{sim::Duration::Millis(500)});
 
   std::map<std::string, double> acked;
   int done = 0;

@@ -243,18 +243,18 @@ TEST(OccTest, AbortDiscardsWrites) {
 
 TEST(WalTest, DurabilityAfterFlushDelay) {
   sim::Simulator s(1);
-  WriteAheadLog wal(&s, sim::Duration::Millis(2));
+  WriteAheadLog wal(&s);
   bool durable = false;
   wal.Append("r1", [&] { durable = true; });
-  s.RunFor(sim::Duration::Millis(1));
+  s.RunFor(WriteAheadLog::kFlushDelay - sim::Duration::Micros(1));
   EXPECT_FALSE(durable);
-  s.RunFor(sim::Duration::Millis(2));
+  s.RunFor(sim::Duration::Micros(2));
   EXPECT_TRUE(durable);
 }
 
 TEST(WalTest, DurableRecordsAtCrashPoint) {
   sim::Simulator s(2);
-  WriteAheadLog wal(&s, sim::Duration::Millis(5));
+  WriteAheadLog wal(&s);
   wal.Append("early", nullptr);
   s.RunFor(sim::Duration::Millis(10));
   wal.Append("late", nullptr);
