@@ -39,12 +39,12 @@ GroupDataPtr StripPiggyback(const GroupDataPtr& data) {
   return stripped;
 }
 
-size_t GroupData::SizeBytes() const {
-  size_t total = app_payload_->SizeBytes();
+void GroupData::set_piggyback(std::vector<std::shared_ptr<const GroupData>> msgs) {
+  piggyback_ = std::move(msgs);
+  size_bytes_ = AppBytes();
   for (const auto& msg : piggyback_) {
-    total += msg->SizeBytes() + msg->HeaderBytes();
+    size_bytes_ += msg->SizeBytes() + msg->HeaderBytes();
   }
-  return total;
 }
 
 std::vector<net::HeaderSection> GroupData::HeaderSections() const {

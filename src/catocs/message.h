@@ -65,9 +65,14 @@ class GroupData : public net::Payload {
         mode_(mode),
         vt_(std::move(vt)),
         app_payload_(std::move(app_payload)),
-        sent_at_(sent_at) {}
+        sent_at_(sent_at),
+        size_bytes_(AppBytes()) {}
 
-  size_t SizeBytes() const override;
+  // The app payload plus every piggybacked copy (payload and header):
+  // computed at construction and refreshed by set_piggyback, its only other
+  // input, because the send, budget and retention paths ask for it several
+  // times per copy.
+  size_t SizeBytes() const override { return size_bytes_; }
   std::string Describe() const override;
 
   // Per-layer header breakdown: the base frame (id + mode), the causal
@@ -98,9 +103,7 @@ class GroupData : public net::Payload {
 
   // Footnote-4 variant: copies of causally preceding messages carried along
   // instead of delaying at the receiver.
-  void set_piggyback(std::vector<std::shared_ptr<const GroupData>> msgs) {
-    piggyback_ = std::move(msgs);
-  }
+  void set_piggyback(std::vector<std::shared_ptr<const GroupData>> msgs);
   const std::vector<std::shared_ptr<const GroupData>>& piggyback() const { return piggyback_; }
 
   // Delta-encoded wire form of the vector timestamp (GroupConfig::
@@ -132,6 +135,10 @@ class GroupData : public net::Payload {
   std::vector<std::shared_ptr<const GroupData>> piggyback_;
   std::optional<WireVt> wire_vt_;
   uint64_t overlay_view_ = 0;  // 0 = not an overlay frame
+  size_t size_bytes_;
+
+  // Delivery records built by checker tests carry no app payload.
+  size_t AppBytes() const { return app_payload_ != nullptr ? app_payload_->SizeBytes() : 0; }
 };
 
 using GroupDataPtr = std::shared_ptr<const GroupData>;

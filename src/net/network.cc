@@ -54,8 +54,9 @@ bool Network::Send(NodeId src, NodeId dst, uint32_t port, PayloadPtr payload,
   const size_t total_header = header_bytes + kBaseHeaderBytes;
   ++packets_sent_;
   header_bytes_sent_ += total_header;
-  payload_bytes_sent_ += payload->SizeBytes();
-  bytes_sent_ += total_header + payload->SizeBytes();
+  const size_t payload_bytes = payload->SizeBytes();
+  payload_bytes_sent_ += payload_bytes;
+  bytes_sent_ += total_header + payload_bytes;
 
   Packet packet{src, dst, port, std::move(payload), header_bytes, next_packet_id_++};
 

@@ -1,171 +1,150 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 
 namespace sim {
 
-EventQueue::~EventQueue() = default;
+EventQueue::~EventQueue() {
+  for (uint32_t slot = 0; slot < fresh_slot_; ++slot) {
+    std::destroy_at(&FnAt(slot));
+  }
+}
 
-EventQueue::Node* EventQueue::AllocNode() {
-  if (free_list_ == nullptr) {
-    blocks_.push_back(std::make_unique<Node[]>(kNodesPerBlock));
-    Node* block = blocks_.back().get();
-    for (size_t i = kNodesPerBlock; i-- > 0;) {
-      block[i].sibling = free_list_;
-      free_list_ = &block[i];
+uint32_t EventQueue::AllocSlot() {
+  if (free_slot_ != kNoSlot) {
+    const uint32_t slot = free_slot_;
+    free_slot_ = static_cast<uint32_t>(SeqAt(slot) & ~kFreeSlot);
+    return slot;
+  }
+  if (fresh_slot_ == blocks_.size() * kSlotsPerBlock) {
+    // Grow the slab by one block (left uninitialized); existing slots stay
+    // where they are. The key array starts with room for the first block,
+    // so a fresh queue does not regrow it event by event.
+    if (blocks_.empty()) {
+      heap_.reserve(kSlotsPerBlock);
     }
+    blocks_.push_back(std::make_unique_for_overwrite<Block>());
   }
-  Node* node = free_list_;
-  free_list_ = node->sibling;
-  node->child = nullptr;
-  node->sibling = nullptr;
-  node->dead = false;
-  return node;
+  std::construct_at(&FnAt(fresh_slot_));
+  return fresh_slot_++;
 }
 
-void EventQueue::FreeNode(Node* node) {
-  node->seq = 0;
-  node->fn = EventFn{};
-  node->child = nullptr;
-  node->sibling = free_list_;
-  free_list_ = node;
+void EventQueue::FreeSlot(uint32_t slot) {
+  SeqAt(slot) = kFreeSlot | free_slot_;
+  free_slot_ = slot;
 }
 
-EventQueue::Node* EventQueue::Meld(Node* a, Node* b) {
-  if (a == nullptr) {
-    return b;
-  }
-  if (b == nullptr) {
-    return a;
-  }
-  if (Before(b, a)) {
-    std::swap(a, b);
-  }
-  b->sibling = a->child;
-  a->child = b;
-  return a;
-}
-
-EventQueue::Node* EventQueue::MeldChildren(Node* root) {
-  // Standard two-pass pairing: meld children pairwise left to right, then
-  // fold the pairs right to left. Iterative (explicit scratch list) so a
-  // degenerate child chain cannot overflow the stack.
-  scratch_.clear();
-  Node* child = root->child;
-  root->child = nullptr;
-  while (child != nullptr) {
-    Node* a = child;
-    Node* b = a->sibling;
-    child = (b != nullptr) ? b->sibling : nullptr;
-    a->sibling = nullptr;
-    if (b != nullptr) {
-      b->sibling = nullptr;
+void EventQueue::SiftUp(size_t pos, Key key) {
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Before(key, heap_[parent])) {
+      break;
     }
-    scratch_.push_back(Meld(a, b));
+    heap_[pos] = heap_[parent];
+    pos = parent;
   }
-  Node* merged = nullptr;
-  for (size_t i = scratch_.size(); i-- > 0;) {
-    merged = Meld(scratch_[i], merged);
-  }
-  scratch_.clear();
-  return merged;
+  heap_[pos] = key;
 }
 
-EventId EventQueue::Schedule(TimePoint when, EventFn fn) {
-  Node* node = AllocNode();
-  node->when = when;
-  node->seq = next_seq_++;
-  node->fn = std::move(fn);
-  root_ = Meld(root_, node);
+void EventQueue::SiftDown(size_t pos, Key key) {
+  const size_t n = heap_.size();
+  for (;;) {
+    const size_t first = pos * kArity + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t last = std::min(first + kArity, n);
+    size_t best = first;
+    for (size_t child = first + 1; child < last; ++child) {
+      if (Before(heap_[child], heap_[best])) {
+        best = child;
+      }
+    }
+    if (!Before(heap_[best], key)) {
+      break;
+    }
+    heap_[pos] = heap_[best];
+    pos = best;
+  }
+  heap_[pos] = key;
+}
+
+void EventQueue::PopTop() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(0, last);
+  }
+}
+
+EventId EventQueue::Schedule(TimePoint when, EventFn&& fn) {
+  const uint32_t slot = AllocSlot();
+  const Key key{when, next_seq_++, slot};
+  SeqAt(slot) = key.seq;
+  FnAt(slot) = std::move(fn);
+  heap_.push_back(key);
+  SiftUp(heap_.size() - 1, key);
   ++live_;
-  return EventId{node->seq, node};
+  return EventId{key.seq, slot};
 }
 
 bool EventQueue::Cancel(EventId id) {
-  // The node's sequence number is authoritative: an event that already fired
-  // or was already cancelled has seq 0 (or a newer seq after pool reuse), so
-  // a stale handle — including an event cancelling itself from inside its
-  // own closure — is always a no-op. Sequence numbers are never reused, so
-  // the check can't be fooled.
-  if (!id.valid() || id.node == nullptr) {
+  // The slot's sequence number is authoritative: an event that already fired
+  // or was already cancelled left its slot free (or holding a newer seq after
+  // reuse), so a stale handle — including an event cancelling itself from
+  // inside its own closure — is always a no-op. Sequence numbers are never
+  // reused, so the check can't be fooled; an id from beyond next_seq_ was
+  // never issued and could otherwise alias a free-list link.
+  if (!id.valid() || id.seq >= next_seq_ || id.slot >= fresh_slot_ ||
+      SeqAt(id.slot) != id.seq) {
     return false;
   }
-  Node* node = static_cast<Node*>(id.node);
-  if (node->seq != id.seq) {
-    return false;
-  }
-  node->seq = 0;
-  node->dead = true;
-  node->fn = EventFn{};  // free the closure now, not at pop time
+  FnAt(id.slot) = EventFn{};  // free the closure now, not when its key surfaces
+  FreeSlot(id.slot);
   --live_;
-  ++dead_;
   // Adaptive compaction: sweep once the dead outnumber the live (never below
   // the small-queue floor). Churn-heavy large runs amortize the rebuild over
   // at least live_ cancellations; small queues never pay at all.
-  if (dead_ > kCompactMinDead && dead_ > live_) {
+  const size_t dead = heap_.size() - live_;
+  if (dead > kCompactMinDead && dead > live_) {
     Compact();
   }
   return true;
 }
 
 void EventQueue::Compact() {
-  // Walk the whole tree iteratively, unlink live nodes, free dead ones, then
-  // remeld the live nodes. Pop order depends only on (when, seq), so the
-  // rebuilt shape is irrelevant to replay.
-  std::vector<Node*> stack;
-  std::vector<Node*> survivors;
-  survivors.reserve(live_);
-  if (root_ != nullptr) {
-    stack.push_back(root_);
-  }
-  while (!stack.empty()) {
-    Node* node = stack.back();
-    stack.pop_back();
-    if (node->child != nullptr) {
-      stack.push_back(node->child);
-    }
-    if (node->sibling != nullptr) {
-      stack.push_back(node->sibling);
-    }
-    node->child = nullptr;
-    node->sibling = nullptr;
-    if (node->dead) {
-      FreeNode(node);
-    } else {
-      survivors.push_back(node);
+  std::erase_if(heap_, [this](const Key& key) { return !IsLive(key); });
+  assert(heap_.size() == live_);
+  // Floyd's bottom-up heapify over the survivors.
+  if (heap_.size() > 1) {
+    for (size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+      SiftDown(i, heap_[i]);
     }
   }
-  root_ = nullptr;
-  for (Node* node : survivors) {
-    root_ = Meld(root_, node);
-  }
-  dead_ = 0;
-  assert(survivors.size() == live_);
 }
 
 void EventQueue::SkipDead() {
-  while (root_ != nullptr && root_->dead) {
-    Node* dead_root = root_;
-    root_ = MeldChildren(dead_root);
-    FreeNode(dead_root);
-    --dead_;
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    PopTop();
   }
 }
 
 TimePoint EventQueue::NextTime() {
   SkipDead();
-  assert(root_ != nullptr);
-  return root_->when;
+  assert(!heap_.empty());
+  return heap_.front().when;
 }
 
 EventQueue::Fired EventQueue::PopNext() {
   SkipDead();
-  assert(root_ != nullptr);
-  Node* top = root_;
-  Fired fired{top->when, std::move(top->fn)};
-  root_ = MeldChildren(top);
-  FreeNode(top);
+  assert(!heap_.empty());
+  const Key top = heap_.front();
+  Fired fired{top.when, std::move(FnAt(top.slot))};
+  FreeSlot(top.slot);
+  PopTop();
   --live_;
   return fired;
 }

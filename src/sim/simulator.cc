@@ -12,12 +12,12 @@ namespace sim {
 
 Simulator::Simulator(uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::ScheduleAt(TimePoint when, EventFn fn) {
+EventId Simulator::ScheduleAt(TimePoint when, EventFn&& fn) {
   assert(when >= now_ && "cannot schedule in the past");
   return queue_.Schedule(when, std::move(fn));
 }
 
-EventId Simulator::ScheduleAfter(Duration delay, EventFn fn) {
+EventId Simulator::ScheduleAfter(Duration delay, EventFn&& fn) {
   assert(delay >= Duration::Zero());
   return queue_.Schedule(now_ + delay, std::move(fn));
 }

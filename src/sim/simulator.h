@@ -36,8 +36,8 @@ class Simulator {
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
 
-  EventId ScheduleAt(TimePoint when, EventFn fn);
-  EventId ScheduleAfter(Duration delay, EventFn fn);
+  EventId ScheduleAt(TimePoint when, EventFn&& fn);
+  EventId ScheduleAfter(Duration delay, EventFn&& fn);
   void Cancel(EventId id) { queue_.Cancel(id); }
 
   // Runs until no events remain. Returns the number of events executed.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -250,6 +253,157 @@ TEST(EventQueueTest, CancelAllLeavesEmptyQueue) {
   }
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+// Model check: the queue against a reference std::set of (when, seq) over a
+// long seeded mix of Schedule, Cancel (of live, fired and cancelled ids
+// alike) and PopNext. Timestamps advance in coarse steps, so long runs of
+// events share one instant and only the seq tiebreak orders them; the
+// churn phases push the dead keys past the live ones, so compaction runs
+// several times mid-sequence.
+TEST(EventQueueTest, MatchesReferenceOrderUnderRandomOps) {
+  EventQueue q;
+  Rng rng(0xE7E47);
+  std::set<std::pair<TimePoint, uint64_t>> ref;  // (when, schedule index)
+  std::vector<EventId> ids;
+  std::vector<TimePoint> when_of;
+  std::vector<uint64_t> maybe_pending;  // cancel candidates, pruned lazily
+  uint64_t fired_index = 0;
+  TimePoint now = TimePoint::Zero();
+  size_t compactions = 0;
+  for (int op = 0; op < 150000; ++op) {
+    // Alternate fill phases (mostly schedules) with churn phases (mostly
+    // cancels), so the dead keys periodically outnumber the live ones.
+    const bool fill = (op / 5000) % 2 == 0;
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < (fill ? 60u : 25u) || ref.empty()) {
+      // Half the schedules land on the current instant; a fifth are
+      // far-future timeouts, which stay buried as dead keys once cancelled.
+      const uint64_t kind = rng.NextBelow(10);
+      const int64_t delta =
+          kind < 5 ? 0 : kind < 8 ? rng.NextInRange(1, 4) : rng.NextInRange(1000, 5000);
+      const TimePoint when(now.nanos() + delta);
+      const uint64_t index = ids.size();
+      ids.push_back(q.Schedule(when, [&fired_index, index] { fired_index = index; }));
+      when_of.push_back(when);
+      maybe_pending.push_back(index);
+      ref.emplace(when, index);
+    } else if (roll < (fill ? 80u : 90u)) {
+      // Mostly an id that may still be pending, sometimes any id ever issued
+      // (usually fired or cancelled already, possibly with its slot reused).
+      uint64_t index = rng.NextBelow(ids.size());
+      if (!maybe_pending.empty() && rng.NextBool(0.8)) {
+        const size_t pos = rng.NextBelow(maybe_pending.size());
+        index = maybe_pending[pos];
+        maybe_pending[pos] = maybe_pending.back();
+        maybe_pending.pop_back();
+      }
+      const bool pending = ref.erase({when_of[index], index}) == 1;
+      const size_t heap_before = q.heap_size();
+      ASSERT_EQ(q.Cancel(ids[index]), pending) << "op " << op;
+      if (q.heap_size() < heap_before) {
+        ++compactions;
+      }
+    } else {
+      const auto expected = *ref.begin();
+      ref.erase(ref.begin());
+      ASSERT_EQ(q.NextTime(), expected.first) << "op " << op;
+      auto fired = q.PopNext();
+      ASSERT_EQ(fired.when, expected.first);
+      fired.fn();
+      ASSERT_EQ(fired_index, expected.second) << "op " << op;
+      now = fired.when;
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.Empty(), ref.empty());
+  }
+  EXPECT_GE(compactions, 5u) << "the mix must exercise the sweep repeatedly";
+  // Drain: the survivors come out in exact (when, seq) order.
+  for (const auto& [when, index] : ref) {
+    auto fired = q.PopNext();
+    fired.fn();
+    ASSERT_EQ(fired.when, when);
+    ASSERT_EQ(fired_index, index);
+  }
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, StaleIdOfReusedSlotCancelsNothing) {
+  EventQueue q;
+  int fired = 0;
+  // Freed by Cancel.
+  const EventId cancelled = q.Schedule(TimePoint(1), [] {});
+  ASSERT_TRUE(q.Cancel(cancelled));
+  const EventId reuser = q.Schedule(TimePoint(2), [&] { ++fired; });
+  ASSERT_EQ(reuser.slot, cancelled.slot) << "the freed slot is reused first";
+  EXPECT_FALSE(q.Cancel(cancelled));
+  // Freed by PopNext.
+  (void)q.Schedule(TimePoint(1), [] {});
+  const EventId popped = q.Schedule(TimePoint(0), [] {});
+  q.PopNext().fn();
+  const EventId reuser2 = q.Schedule(TimePoint(3), [&] { ++fired; });
+  ASSERT_EQ(reuser2.slot, popped.slot);
+  EXPECT_FALSE(q.Cancel(popped));
+  // The new occupants are untouched and still fire.
+  EXPECT_EQ(q.size(), 3u);
+  while (!q.Empty()) {
+    q.PopNext().fn();
+  }
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueueTest, ClosureCancellingItselfIsNoOp) {
+  EventQueue q;
+  EventId self{};
+  EventId scheduled_inside{};
+  bool self_cancel_result = true;
+  int later = 0;
+  self = q.Schedule(TimePoint(1), [&] {
+    // Schedule first, so the new event may take the slot this one vacated.
+    scheduled_inside = q.Schedule(TimePoint(2), [&] { ++later; });
+    self_cancel_result = q.Cancel(self);
+  });
+  q.Schedule(TimePoint(3), [&] { ++later; });
+  q.PopNext().fn();
+  EXPECT_FALSE(self_cancel_result);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(scheduled_inside.slot, self.slot);
+  while (!q.Empty()) {
+    q.PopNext().fn();
+  }
+  EXPECT_EQ(later, 2);
+}
+
+TEST(EventQueueTest, CompactionPreservesPopOrder) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  std::vector<int> expected;
+  std::vector<int> fired;
+  // Ten instants, 100 events each, scheduled in interleaved time order.
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(q.Schedule(TimePoint(10 - i % 10), [&fired, i] { fired.push_back(i); }));
+  }
+  // Cancel all but every seventh event; the sweep must fire along the way.
+  bool compacted = false;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 7 != 0) {
+      const size_t before = q.heap_size();
+      ASSERT_TRUE(q.Cancel(ids[i]));
+      compacted = compacted || q.heap_size() < before;
+    }
+  }
+  ASSERT_TRUE(compacted);
+  for (int t = 1; t <= 10; ++t) {
+    for (int i = 0; i < 1000; i += 7) {
+      if (10 - i % 10 == t) {
+        expected.push_back(i);
+      }
+    }
+  }
+  while (!q.Empty()) {
+    q.PopNext().fn();
+  }
+  EXPECT_EQ(fired, expected);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
