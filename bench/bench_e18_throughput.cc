@@ -10,9 +10,6 @@
 // isolates batching alone; a separate batch=32 config turns the delta wire
 // form on to price that knob independently (it trades a small decode cost
 // per frame for the §3.4 header-byte savings).
-//
-// google-benchmark binary; results are merged into BENCH_micro.json by
-// scripts/bench.sh (Release builds only).
 
 #include <benchmark/benchmark.h>
 
@@ -90,7 +87,7 @@ void BM_SustainedThroughput(benchmark::State& state) {
   state.counters["payload_bytes"] = static_cast<double>(payload_bytes);
   state.counters["delta"] = delta ? 1 : 0;
   // Ordering metadata per transmitted data copy — the wire-overhead figure
-  // E21 sweeps against N; tracked here so bench_compare.py can flag drift.
+  // E21 sweeps against N.
   state.counters["metadata_bytes_per_msg"] =
       totals.transmissions == 0 ? 0.0
                                 : static_cast<double>(totals.header_bytes) /
@@ -111,17 +108,4 @@ BENCHMARK(BM_SustainedThroughput)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-#ifdef NDEBUG
-  benchmark::AddCustomContext("repro_build_type", "release");
-#else
-  benchmark::AddCustomContext("repro_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -13,9 +13,6 @@
 // replication comparison under each policy — without conflicts the three
 // are indistinguishable, so modernizing the competitor costs nothing there.
 //
-// --json FILE   also writes the contention cells as google-benchmark JSON
-//               (real_time = mean commit latency us; counters commits_per_s
-//               and abort_rate) for scripts/bench_compare.py gating.
 // --chaos       replica-crash oracle runs instead of the sweep: a replica
 //               dies mid-2PC under high contention; every seed must finish
 //               with zero stalls, converged survivors, and no value that
@@ -70,7 +67,6 @@ struct CellResult {
   int stalls = 0;  // txns with NO final outcome by the horizon — must be 0
   double commits_per_s = 0;
   double abort_rate = 0;  // aborted attempts / all decided attempts
-  double mean_commit_us = 0;
   double p99_commit_us = 0;
   uint64_t detections = 0;
   uint64_t reports = 0;    // wait-for reports multicast to the monitor
@@ -212,7 +208,6 @@ CellResult RunCell(DeadlockPolicy policy, const txn::WorkloadConfig& mix, double
                        : 0.0;
   const double elapsed_s = (last_done - first_issue).seconds();
   out.commits_per_s = elapsed_s > 0 ? commits / elapsed_s : 0;
-  out.mean_commit_us = latency.mean();
   out.p99_commit_us = latency.Quantile(0.99);
   out.detections = monitor.detections();
   for (auto& reporter : reporters) {
@@ -487,60 +482,16 @@ int RunChaos(const std::vector<DeadlockPolicy>& policies, uint64_t seeds, uint64
   return 0;
 }
 
-// --- JSON (google-benchmark format, for scripts/bench_compare.py) ------------
-
-struct JsonCell {
-  std::string name;
-  CellResult result;
-};
-
-void WriteJson(const char* path, const std::vector<JsonCell>& cells) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_e22_contention: cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"context\": {\n");
-#ifdef NDEBUG
-  std::fprintf(f, "    \"repro_build_type\": \"release\"\n");
-#else
-  std::fprintf(f, "    \"repro_build_type\": \"debug\"\n");
-#endif
-  std::fprintf(f, "  },\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& r = cells[i].result;
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"name\": \"%s\",\n"
-                 "      \"run_name\": \"%s\",\n"
-                 "      \"run_type\": \"iteration\",\n"
-                 "      \"iterations\": 1,\n"
-                 "      \"real_time\": %.3f,\n"
-                 "      \"cpu_time\": %.3f,\n"
-                 "      \"time_unit\": \"us\",\n"
-                 "      \"commits_per_s\": %.3f,\n"
-                 "      \"abort_rate\": %.6f\n"
-                 "    }%s\n",
-                 cells[i].name.c_str(), cells[i].name.c_str(), r.mean_commit_us, r.mean_commit_us,
-                 r.commits_per_s, r.abort_rate, i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
   bool chaos = false;
   uint64_t seeds = 10;
   uint64_t start = 1;
   std::vector<DeadlockPolicy> policies = {DeadlockPolicy::kDetect, DeadlockPolicy::kWaitDie,
                                           DeadlockPolicy::kStarvationFree};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
+    if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos = true;
     } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
       seeds = std::strtoull(argv[++i], nullptr, 10);
@@ -555,8 +506,7 @@ int main(int argc, char** argv) {
       policies = {parsed};
     } else {
       std::fprintf(stderr,
-                   "usage: bench_e22_contention [--json FILE] "
-                   "[--chaos [--policy P] [--seeds N] [--start K]]\n");
+                   "usage: bench_e22_contention [--chaos [--policy P] [--seeds N] [--start K]]\n");
       return 1;
     }
   }
@@ -572,7 +522,6 @@ int main(int argc, char** argv) {
   benchutil::Row("%-16s %-6s %-9s %-9s %-11s %-8s %-11s %-12s %-7s %s", "policy", "theta",
                  "mix", "commits", "commits/s", "abort%", "p99_ms", "detect(ovh)", "deaths",
                  "wounds  [failed/stalls]");
-  std::vector<JsonCell> json_cells;
   CellResult hot_detect;
   CellResult hot_wait_die;
   CellResult hot_starvation_free;
@@ -591,10 +540,6 @@ int main(int argc, char** argv) {
                        r.commits_per_s, 100.0 * r.abort_rate, r.p99_commit_us / 1000.0,
                        detect_col, static_cast<unsigned long long>(r.deaths),
                        static_cast<unsigned long long>(r.wounds), r.failed, r.stalls);
-        char name[128];
-        std::snprintf(name, sizeof(name), "E22_Contention/policy=%s/theta=%.1f/mix=%s",
-                      txn::DeadlockPolicyName(policy), theta, mix.name);
-        json_cells.push_back({name, r});
         if (theta == 1.2 && std::strcmp(mix.name, "long-mix") == 0) {
           if (policy == DeadlockPolicy::kDetect) {
             hot_detect = r;
@@ -624,10 +569,6 @@ int main(int argc, char** argv) {
     E8Perf perf = RunE8Style(policy);
     benchutil::Row("%-16s %-14.1f %-14.1f %.1f", txn::DeadlockPolicyName(policy),
                    perf.mean_latency_us, perf.p99_latency_us, perf.throughput_per_s);
-  }
-
-  if (json_path != nullptr) {
-    WriteJson(json_path, json_cells);
   }
   return 0;
 }

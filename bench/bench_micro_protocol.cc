@@ -18,7 +18,6 @@
 #include "src/sim/metrics.h"
 #include "src/statelevel/ordered_cache.h"
 #include "src/txn/lock_manager.h"
-#include "src/txn/occ.h"
 
 namespace {
 
@@ -363,31 +362,6 @@ void BM_LockManagerReleaseAllManyResources(benchmark::State& state) {
 }
 BENCHMARK(BM_LockManagerReleaseAllManyResources)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_OccCommitCycle(benchmark::State& state) {
-  txn::OccManager occ;
-  for (auto _ : state) {
-    txn::TxnId t = occ.Begin();
-    occ.Write(t, "x", 1.0);
-    benchmark::DoNotOptimize(occ.Commit(t));
-  }
-}
-BENCHMARK(BM_OccCommitCycle);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Stamped into the JSON context so scripts/bench.sh can refuse to record
-  // BENCH_micro.json from a debug binary.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("repro_build_type", "release");
-#else
-  benchmark::AddCustomContext("repro_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

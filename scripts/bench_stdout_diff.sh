@@ -25,14 +25,14 @@ change=$2
 big=bench/bench_e21_scale
 runs=()
 # The slow ones first, so they overlap with everything else.
-for name in e17_attribution e16_strategies e12_overhead; do
+for name in e5_buffering_scale e12_overhead; do
   runs+=("bench/bench_${name}")
 done
 for bin in "${parent}"/bench/bench_e[0-9]*; do
   rel="bench/$(basename "${bin}")"
   case "${rel}" in
-    bench/bench_e18_throughput | "${big}" | bench/bench_e17_attribution | \
-      bench/bench_e12_overhead | bench/bench_e16_strategies) ;;
+    bench/bench_e18_throughput | "${big}" | bench/bench_e5_buffering_scale | \
+      bench/bench_e12_overhead) ;;
     *) runs+=("${rel}") ;;
   esac
 done

@@ -64,7 +64,6 @@ echo "check.sh: fuzz_chaos --trace deterministic over ${TRACE_SEEDS} seeds"
 # sanitized build, like everything else in this gate.
 BUILD_DIR="${BUILD_DIR}" ./scripts/provenance_gate.sh
 
-# Perf is gated separately (sanitized numbers are meaningless): record with
-# scripts/bench.sh, then diff against the committed baseline via
-# scripts/bench_compare.py or the bench-compare cmake target.
-echo "check.sh: perf not checked here — run scripts/bench.sh + scripts/bench_compare.py (bench-compare target) for the >10% regression gate"
+# Perf is measured separately (sanitized numbers are meaningless): run
+# python3 perfbench/run.py on a Release checkout.
+echo "check.sh: perf not checked here — run python3 perfbench/run.py for the benchmark"

@@ -224,7 +224,7 @@ struct GroupStats {
   // Data-frame transmissions those header bytes rode on (N−1 per direct
   // multicast, one per overlay forward, fanout per batch frame) —
   // ordering_header_bytes / data_transmissions is the metadata bytes/msg
-  // figure E21 and bench.sh report.
+  // figure E21 and perfbench report.
   uint64_t data_transmissions = 0;
   uint64_t piggyback_msgs_carried = 0;
   uint64_t piggyback_bytes = 0;

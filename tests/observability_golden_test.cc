@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/catocs/causal_buffer.h"
 #include "src/catocs/group.h"
 #include "src/catocs/pipeline_stats.h"
 #include "src/obs/provenance.h"
@@ -171,20 +172,25 @@ TEST(ObservabilityGoldenTest, OverlayCausalRecordMatchesGolden) {
 
 TEST(ObservabilityGoldenTest, InstrumentationLeavesProtocolCountersUnchanged) {
   // Delta timestamps make the causal gate count its fast-path checks; an
-  // instrumented run must not add checks of its own.
-  Scenario sc{CausalBufferKind::kHybrid, true, true, /*delta=*/true, 11};
-  const Outcome observed = RunScenario(sc);
-  sc.observe = false;
-  const Outcome plain = RunScenario(sc);
-  ASSERT_EQ(observed.stats.size(), plain.stats.size());
-  for (size_t i = 0; i < plain.stats.size(); ++i) {
-    EXPECT_GT(plain.stats[i].delta_fast_path_hits, 0u) << "member " << i;
-    EXPECT_EQ(observed.stats[i].delta_fast_path_hits, plain.stats[i].delta_fast_path_hits)
-        << "member " << i;
-    EXPECT_TRUE(observed.stats[i] == plain.stats[i]) << "member " << i;
+  // instrumented run must not add checks of its own. Both retention buffers
+  // are covered: E5/E16/E17 read full-vector and hybrid occupancy from runs
+  // with observability on.
+  for (CausalBufferKind buffer : {CausalBufferKind::kFullVector, CausalBufferKind::kHybrid}) {
+    SCOPED_TRACE(ToString(buffer));
+    Scenario sc{buffer, true, true, /*delta=*/true, 11};
+    const Outcome observed = RunScenario(sc);
+    sc.observe = false;
+    const Outcome plain = RunScenario(sc);
+    ASSERT_EQ(observed.stats.size(), plain.stats.size());
+    for (size_t i = 0; i < plain.stats.size(); ++i) {
+      EXPECT_GT(plain.stats[i].delta_fast_path_hits, 0u) << "member " << i;
+      EXPECT_EQ(observed.stats[i].delta_fast_path_hits, plain.stats[i].delta_fast_path_hits)
+          << "member " << i;
+      EXPECT_TRUE(observed.stats[i] == plain.stats[i]) << "member " << i;
+    }
+    EXPECT_EQ(observed.transcript, plain.transcript);
+    EXPECT_FALSE(plain.transcript.empty());
   }
-  EXPECT_EQ(observed.transcript, plain.transcript);
-  EXPECT_FALSE(plain.transcript.empty());
 }
 
 }  // namespace

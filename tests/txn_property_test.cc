@@ -1,13 +1,11 @@
 // Randomized property tests for the transaction substrate: lock-manager
-// invariants under arbitrary acquire/release interleavings, OCC
-// serializability (results must equal *some* serial execution), and the
+// invariants under arbitrary acquire/release interleavings and the
 // replicated store's safety under hostile networks.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +13,6 @@
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/txn/lock_manager.h"
-#include "src/txn/occ.h"
 #include "src/txn/replicated_store.h"
 
 namespace txn {
@@ -66,105 +63,6 @@ TEST(LockManagerPropertyTest, RandomScheduleNeverViolatesCompatibility) {
       lm.ReleaseAll(t);
     }
     EXPECT_EQ(lm.locked_resources(), 0u);
-  }
-}
-
-// Serializability oracle: run random transactions through OCC, then replay
-// the *committed* ones serially in commit order against a reference store.
-// Final states must match exactly.
-TEST(OccPropertyTest, CommittedHistoryEqualsSerialReplay) {
-  sim::Rng rng(515151);
-  for (int trial = 0; trial < 200; ++trial) {
-    OccManager occ;
-    constexpr int kKeys = 4;
-    struct Op {
-      bool is_write;
-      std::string key;
-      double value;
-    };
-    struct TxnScript {
-      std::vector<Op> ops;
-      TxnId id = 0;
-      bool committed = false;
-      uint64_t commit_position = 0;
-    };
-    // Interleave 5 transactions' operations randomly.
-    std::vector<TxnScript> scripts(5);
-    for (size_t t = 0; t < scripts.size(); ++t) {
-      const int op_count = 2 + static_cast<int>(rng.NextBelow(4));
-      for (int o = 0; o < op_count; ++o) {
-        Op op;
-        op.is_write = rng.NextBool(0.5);
-        op.key = "k" + std::to_string(rng.NextBelow(kKeys));
-        op.value = static_cast<double>(trial * 1000 + t * 100 + o);
-        scripts[t].ops.push_back(op);
-      }
-      scripts[t].id = occ.Begin();
-    }
-    // Random interleaving: pick a txn with remaining ops, run its next op;
-    // when a txn finishes its ops, try to commit.
-    std::vector<size_t> cursor(scripts.size(), 0);
-    uint64_t commit_counter = 0;
-    bool work_left = true;
-    while (work_left) {
-      work_left = false;
-      // random order sweep
-      std::vector<size_t> idx(scripts.size());
-      for (size_t i = 0; i < idx.size(); ++i) {
-        idx[i] = i;
-      }
-      rng.Shuffle(idx);
-      for (size_t i : idx) {
-        TxnScript& script = scripts[i];
-        if (cursor[i] > script.ops.size()) {
-          continue;  // finished (committed or aborted)
-        }
-        work_left = true;
-        if (cursor[i] == script.ops.size()) {
-          script.committed = occ.Commit(script.id);
-          script.commit_position = ++commit_counter;
-          cursor[i] = script.ops.size() + 1;
-          continue;
-        }
-        const Op& op = script.ops[cursor[i]++];
-        if (op.is_write) {
-          occ.Write(script.id, op.key, op.value);
-        } else {
-          occ.Read(script.id, op.key);
-        }
-        break;  // one op per sweep round: a genuine interleaving
-      }
-    }
-    // Serial replay of committed transactions in commit order.
-    std::vector<const TxnScript*> committed;
-    for (const auto& script : scripts) {
-      if (script.committed) {
-        committed.push_back(&script);
-      }
-    }
-    std::sort(committed.begin(), committed.end(),
-              [](const TxnScript* a, const TxnScript* b) {
-                return a->commit_position < b->commit_position;
-              });
-    std::map<std::string, double> reference;
-    for (const TxnScript* script : committed) {
-      for (const Op& op : script->ops) {
-        if (op.is_write) {
-          reference[op.key] = op.value;
-        }
-      }
-    }
-    for (int k = 0; k < kKeys; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      const auto occ_value = occ.CommittedValue(key);
-      auto ref = reference.find(key);
-      if (ref == reference.end()) {
-        EXPECT_FALSE(occ_value.has_value()) << key;
-      } else {
-        ASSERT_TRUE(occ_value.has_value()) << key;
-        EXPECT_EQ(*occ_value, ref->second) << key;
-      }
-    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the transaction substrate: 2PL lock manager, wait-for graph,
-// OCC, WAL, and the distributed wait-for-multicast deadlock detector.
+// WAL, and the distributed wait-for-multicast deadlock detector.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "src/sim/simulator.h"
 #include "src/txn/deadlock_detector.h"
 #include "src/txn/lock_manager.h"
-#include "src/txn/occ.h"
 #include "src/txn/wait_for_graph.h"
 #include "src/txn/wal.h"
 
@@ -178,65 +177,6 @@ TEST(WaitForGraphPropertyTest, RandomDagsAcyclic) {
       EXPECT_TRUE(g.FindCycle().has_value());
     }
   }
-}
-
-// --- OCC -------------------------------------------------------------------------
-
-TEST(OccTest, CommitAppliesWrites) {
-  OccManager occ;
-  TxnId t = occ.Begin();
-  occ.Write(t, "x", 1.0);
-  EXPECT_TRUE(occ.Commit(t));
-  EXPECT_EQ(occ.CommittedValue("x"), 1.0);
-}
-
-TEST(OccTest, ReadYourOwnWrites) {
-  OccManager occ;
-  TxnId t = occ.Begin();
-  occ.Write(t, "x", 2.0);
-  EXPECT_EQ(occ.Read(t, "x"), 2.0);
-}
-
-TEST(OccTest, ConflictAborts) {
-  OccManager occ;
-  TxnId t1 = occ.Begin();
-  TxnId t2 = occ.Begin();
-  occ.Read(t1, "x");
-  occ.Write(t2, "x", 5.0);
-  EXPECT_TRUE(occ.Commit(t2));
-  occ.Write(t1, "y", 1.0);
-  EXPECT_FALSE(occ.Commit(t1)) << "t1 read x before t2's committed write";
-  EXPECT_EQ(occ.stats().validation_failures, 1u);
-}
-
-TEST(OccTest, DisjointTransactionsBothCommit) {
-  OccManager occ;
-  TxnId t1 = occ.Begin();
-  TxnId t2 = occ.Begin();
-  occ.Write(t1, "x", 1.0);
-  occ.Write(t2, "y", 2.0);
-  EXPECT_TRUE(occ.Commit(t1));
-  EXPECT_TRUE(occ.Commit(t2));
-}
-
-TEST(OccTest, WriteWriteWithoutReadCommits) {
-  // Blind writes do not conflict under backward validation on read sets.
-  OccManager occ;
-  TxnId t1 = occ.Begin();
-  TxnId t2 = occ.Begin();
-  occ.Write(t1, "x", 1.0);
-  occ.Write(t2, "x", 2.0);
-  EXPECT_TRUE(occ.Commit(t1));
-  EXPECT_TRUE(occ.Commit(t2));
-  EXPECT_EQ(occ.CommittedValue("x"), 2.0);
-}
-
-TEST(OccTest, AbortDiscardsWrites) {
-  OccManager occ;
-  TxnId t = occ.Begin();
-  occ.Write(t, "x", 9.0);
-  occ.Abort(t);
-  EXPECT_FALSE(occ.CommittedValue("x").has_value());
 }
 
 // --- WAL ---------------------------------------------------------------------------
